@@ -471,7 +471,7 @@ and process_qset_live t qi =
     Nkspan.frame t.spans ~component:t.instance ~stage:"dispatch" (fun () ->
         Cpu.exec (Cpu.Set.core t.cores qi) ~cycles (fun () ->
             for i = 0 to n - 1 do
-              (* Endpoint apply needs the whole record. nklint: decode-ok *)
+              (* Endpoint apply needs the whole record. nkscope: decode-ok *)
               match Nqe.decode qs.scratch.(i) with
               | Error _ -> ()
               | Ok nqe -> apply t ~qset_idx:qi nqe

@@ -7,9 +7,9 @@
    cycle cost from the calibrated NetKernel cost model (Nk_costs) instead of
    timing the host with a wall clock. Reported NQEs/s is therefore a pure
    function of the cost model at the paper's 2.3 GHz core clock and is
-   bit-identical across runs and machines (nklint rule D1 forbids
+   bit-identical across runs and machines (nkscope rule T1 forbids
    [Unix.gettimeofday] under lib/); wall-clock measurement of the same
-   primitives lives in bench/main.ml where it belongs.
+   primitives lives in perfbench/micro.ml where it belongs.
 
    The paper measures ~8M NQEs/s unbatched and 41.4M / 65.9M / up to 198M
    NQEs/s with batches of 4 / 8 / larger on a 2.3 GHz Xeon core; the shape
@@ -94,7 +94,7 @@ let run ?(quick = false) () =
     ~notes:
       [
         "deterministic microbenchmark: real codec + rings, cycle-cost model (Nk_costs) \
-         at 2.3 GHz — wall-clock timing lives in bench/main.ml";
+         at 2.3 GHz — wall-clock timing lives in perfbench/micro.ml";
         "paper, 2.3GHz Xeon core: ~8M/s unbatched; 41.4M/s at batch 4; 65.9M/s at 8; up \
          to 198M/s";
         "shape to check: throughput grows with batch size then saturates";

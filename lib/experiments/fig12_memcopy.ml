@@ -9,7 +9,7 @@
    pressure feedback of Sim.Pressure (the Table 6 mechanism: per-byte copy
    cost grows with the modeled throughput), so the result is bit-identical
    across runs and machines. Wall-clock measurement of the raw primitives
-   lives in bench/main.ml (nklint rule D1 keeps wall clocks out of lib/).
+   lives in perfbench/micro.ml (nkscope rule T1 keeps wall clocks out of lib/).
 
    Paper: >100 Gb/s for messages >= 4KB, ~144 Gb/s at 8KB. *)
 
@@ -99,7 +99,7 @@ let run ?(quick = false) () =
       [
         "deterministic microbenchmark: real copy path, cycle-cost model (Nk_costs + \
          Sim.Pressure bandwidth feedback) at 2.3 GHz — wall-clock timing lives in \
-         bench/main.ml";
+         perfbench/micro.ml";
         "paper: >100 Gb/s from 4KB messages; ~144 Gb/s at 8KB";
         "shape to check: rises with message size (per-message costs amortize), then \
          saturates at the modeled memory-bandwidth limit";

@@ -22,7 +22,7 @@
     - {e a deterministic flight recorder}: when an alert fires, the most
       recent trace events of every source host are dumped into one
       host-tagged, virtual-time-ordered snapshot ({!dumps}). Same seed,
-      same bytes — the dynamic counterpart of nklint/nkscope, and the
+      same bytes — the dynamic counterpart of nkscope, and the
       landing pad for the chaos harness (ROADMAP item 5).
 
     Everything here observes virtual time only and never charges simulated

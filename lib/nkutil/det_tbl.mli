@@ -4,8 +4,8 @@
     depends on insertion/removal history — any observable effect of that
     order is hidden nondeterminism. These wrappers snapshot the bindings,
     sort them with a caller-supplied key comparator and visit in ascending
-    key order. nklint rule D2 enforces their use (or an explicit
-    [(* nklint: ordered-ok *)] waiver) at every iteration site.
+    key order. nkscope rule D2 enforces their use (or an explicit
+    [(* nkscope: ordered-ok *)] waiver) at every iteration site.
 
     Cost: O(n) snapshot + O(n log n) sort per call — fine for control-plane
     and reporting paths, which is where whole-table iteration happens. *)

@@ -23,6 +23,6 @@ let () =
       ("tcb-roundtrip", Test_tcb_roundtrip.tests);
       ("homastack", Test_homastack.tests);
       ("nkspan", Test_nkspan.tests);
-      ("nklint", Test_nklint.tests);
+      ("nklint", Test_nkscope.site_tests);
       ("nkscope", Test_nkscope.tests);
     ]

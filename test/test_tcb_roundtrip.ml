@@ -234,7 +234,6 @@ let ccs =
   [
     ("reno", Cc_reno.factory ~mss:Segment.mss);
     ("cubic", Cc_cubic.factory ~mss:Segment.mss);
-    ("bbr", Cc_bbr.factory ~mss:Segment.mss);
     ("dctcp", Cc_dctcp.factory ~mss:Segment.mss);
   ]
 

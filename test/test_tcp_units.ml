@@ -195,37 +195,6 @@ let vmcc_shares_window () =
   (* double release must not underflow *)
   Alcotest.(check int) "single flow left" 1 (Cc_vm.active_flows g)
 
-let bbr_converges_to_bdp () =
-  let cc = Cc_bbr.create ~mss () in
-  (* Emulate a 125 MB/s bottleneck at 10 ms RTT: BDP = 1.25 MB. Deliver one
-     cwnd of ACKs per RTT at that ceiling. *)
-  let rtt = 0.01 in
-  let bottleneck = 125_000_000.0 in
-  let now = ref 0.0 in
-  for _ = 1 to 300 do
-    let deliverable =
-      Int.min (cc.Cc.cwnd ()) (int_of_float (bottleneck *. rtt))
-    in
-    (* spread the window's worth of ACKs across the round trip *)
-    let acks = 8 in
-    for _ = 1 to acks do
-      now := !now +. (rtt /. float_of_int acks);
-      cc.Cc.on_ack ~acked:(deliverable / acks) ~rtt ~now:!now
-    done
-  done;
-  let bdp = bottleneck *. rtt in
-  let w = float_of_int (cc.Cc.cwnd ()) in
-  if w < bdp *. 0.5 || w > bdp *. 3.0 then
-    Alcotest.failf "BBR cwnd %.0f far from BDP %.0f" w bdp
-
-let bbr_ignores_isolated_loss () =
-  let cc = Cc_bbr.create ~mss () in
-  let before = cc.Cc.cwnd () in
-  cc.Cc.on_loss ~now:0.1;
-  Alcotest.(check int) "model kept on fast retransmit" before (cc.Cc.cwnd ());
-  cc.Cc.on_timeout ~now:0.2;
-  Alcotest.(check bool) "timeout is conservative" true (cc.Cc.cwnd () >= 4 * mss)
-
 let tests =
   [
     Alcotest.test_case "seq wraparound" `Quick seq_wraparound;
@@ -243,6 +212,4 @@ let tests =
     Alcotest.test_case "cubic grow/reduce" `Quick cubic_grows_and_reduces;
     Alcotest.test_case "dctcp proportional cut" `Quick dctcp_alpha_scaling;
     Alcotest.test_case "vm-cc shared window" `Quick vmcc_shares_window;
-    Alcotest.test_case "bbr converges to BDP" `Quick bbr_converges_to_bdp;
-    Alcotest.test_case "bbr loss handling" `Quick bbr_ignores_isolated_loss;
   ]

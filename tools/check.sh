@@ -7,78 +7,45 @@ set -e
 cd "$(dirname "$0")/.."
 dune build
 dune runtest
-# @lint runs nklint (syntactic, DESIGN.md §10) over lib/ bin/ bench/ test/,
-# then nkscope (typedtree interprocedural, DESIGN.md §15) over the .cmt
-# artifacts `dune build` just produced — the lint rule depends on the
-# default alias with sandboxing off, so nkscope never recompiles the tree.
+# @lint runs nkscope (DESIGN.md §10), the one static analyzer: a single
+# typedtree pass over the .cmt files the build produces for lib/ bin/ test/,
+# read in place, so the tree is never compiled twice.
 dune build @lint
-# Determinism smoke: the sharded CoreEngine must give byte-identical results
-# run-to-run, so the quick CE-scaling sweep is executed twice and the CSVs
-# diffed. Any divergence means nondeterminism leaked into the datapath.
-out1=$(mktemp) out2=$(mktemp)
-trap 'rm -f "$out1" "$out2"' EXIT
-dune exec bin/nk.exe -- run ce-scale --quick --csv > "$out1"
-dune exec bin/nk.exe -- run ce-scale --quick --csv > "$out2"
-if ! diff -q "$out1" "$out2" >/dev/null; then
-  echo "check.sh: ce-scale runs diverged (nondeterminism in the sharded CE):" >&2
-  diff "$out1" "$out2" >&2 || true
-  exit 1
-fi
-echo "check.sh: ce-scale determinism smoke OK"
+# Determinism smokes: each quick experiment below runs twice and its CSVs
+# are diffed; any divergence means nondeterminism leaked into the named
+# layer. ce-scale covers the sharded CE; cluster the live cross-host NSM
+# migration, relay and spine shipping; incast the Homa grant pacer, the
+# TCP->Homa handover pump and the post-switch RPC phase; slo federation
+# order, SLO windows, alert firing and the flight-recorder dumps (the
+# report embeds a dump digest).
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+for spec in \
+  "ce-scale:the sharded CE" \
+  "cluster:Nkfabric" \
+  "incast:homastack or the handover" \
+  "slo:Nkobs"; do
+  id=${spec%%:*} layer=${spec#*:}
+  dune exec bin/nk.exe -- run "$id" --quick --csv > "$tmp/$id.1"
+  dune exec bin/nk.exe -- run "$id" --quick --csv > "$tmp/$id.2"
+  if ! diff -q "$tmp/$id.1" "$tmp/$id.2" >/dev/null; then
+    echo "check.sh: $id runs diverged (nondeterminism in $layer):" >&2
+    diff "$tmp/$id.1" "$tmp/$id.2" >&2 || true
+    exit 1
+  fi
+  echo "check.sh: $id determinism smoke OK"
+done
 # Span tracing smoke: the quick latency-breakdown run is executed twice and
 # the catapult JSON exports diffed — Nkspan derives every timestamp from
 # virtual time, so same-seed traces must be byte-identical.
-cat1=$(mktemp) cat2=$(mktemp)
-trap 'rm -f "$out1" "$out2" "$cat1" "$cat2"' EXIT
-dune exec bin/nk.exe -- span --quick --catapult "$cat1" > /dev/null
-dune exec bin/nk.exe -- span --quick --catapult "$cat2" > /dev/null
-if ! diff -q "$cat1" "$cat2" >/dev/null; then
+dune exec bin/nk.exe -- span --quick --catapult "$tmp/cat1" > /dev/null
+dune exec bin/nk.exe -- span --quick --catapult "$tmp/cat2" > /dev/null
+if ! diff -q "$tmp/cat1" "$tmp/cat2" >/dev/null; then
   echo "check.sh: latency-breakdown catapult exports diverged (nondeterminism in Nkspan):" >&2
-  diff "$cat1" "$cat2" >&2 || true
+  diff "$tmp/cat1" "$tmp/cat2" >&2 || true
   exit 1
 fi
 echo "check.sh: latency-breakdown catapult determinism smoke OK"
-# Cluster smoke: the quick fig-cluster run (two hosts, one live cross-host
-# NSM migration over the Nkfabric spine) is executed twice and the CSVs
-# diffed — migration, relay and spine shipping must all be deterministic.
-cl1=$(mktemp) cl2=$(mktemp)
-trap 'rm -f "$out1" "$out2" "$cat1" "$cat2" "$cl1" "$cl2"' EXIT
-dune exec bin/nk.exe -- run cluster --quick --csv > "$cl1"
-dune exec bin/nk.exe -- run cluster --quick --csv > "$cl2"
-if ! diff -q "$cl1" "$cl2" >/dev/null; then
-  echo "check.sh: cluster runs diverged (nondeterminism in Nkfabric):" >&2
-  diff "$cl1" "$cl2" >&2 || true
-  exit 1
-fi
-echo "check.sh: cluster determinism smoke OK"
-# Incast smoke: the quick N-to-1 incast run (live TCP->Homa protocol
-# handover under Nkctl) is executed twice and the CSVs diffed — the Homa
-# grant pacer, the handover pump and the post-switch RPC phase must all
-# be deterministic.
-in1=$(mktemp) in2=$(mktemp)
-trap 'rm -f "$out1" "$out2" "$cat1" "$cat2" "$cl1" "$cl2" "$in1" "$in2"' EXIT
-dune exec bin/nk.exe -- run incast --quick --csv > "$in1"
-dune exec bin/nk.exe -- run incast --quick --csv > "$in2"
-if ! diff -q "$in1" "$in2" >/dev/null; then
-  echo "check.sh: incast runs diverged (nondeterminism in homastack or the handover):" >&2
-  diff "$in1" "$in2" >&2 || true
-  exit 1
-fi
-echo "check.sh: incast determinism smoke OK"
-# SLO smoke: the quick slo run (tenant SLO breach -> Nkobs alert -> Nkctl
-# reaction) is executed twice and the CSVs diffed — federation order, SLO
-# window evaluation, alert firing and the flight-recorder dumps (the report
-# embeds a dump digest) must all be deterministic.
-sl1=$(mktemp) sl2=$(mktemp)
-trap 'rm -f "$out1" "$out2" "$cat1" "$cat2" "$cl1" "$cl2" "$in1" "$in2" "$sl1" "$sl2"' EXIT
-dune exec bin/nk.exe -- run slo --quick --csv > "$sl1"
-dune exec bin/nk.exe -- run slo --quick --csv > "$sl2"
-if ! diff -q "$sl1" "$sl2" >/dev/null; then
-  echo "check.sh: slo runs diverged (nondeterminism in Nkobs):" >&2
-  diff "$sl1" "$sl2" >&2 || true
-  exit 1
-fi
-echo "check.sh: slo determinism smoke OK"
 # Bench drift gate: fresh quick-mode snapshots are diffed against the
 # committed BENCH_<id>.json baselines. The simulated metric tables are
 # deterministic, so any drift beyond the tolerance is a behaviour change

@@ -1,7 +1,7 @@
 (* nkscope CLI: [nkscope [--format text|json] PATH...] analyzes every .cmt
    under the given files or directories (the main dune build's typedtree
    artifacts — no second compile) and exits nonzero on any diagnostic.
-   Wired into the build as part of [dune build @lint] (root dune file) and
+   Wired into the build as [dune build @lint] (root dune file) and
    tools/check.sh. *)
 
 let rec walk path acc =

@@ -1,10 +1,29 @@
-(* nkscope — typedtree-based interprocedural analyzer (DESIGN.md §15).
+(* nkscope — the repo's static analyzer (DESIGN.md §10).
 
-   Where nklint (tools/nklint) is a purely syntactic parsetree pass over one
-   file at a time, nkscope loads the *typedtrees* the main dune build already
-   produced (.cmt files), links them into an interprocedural call graph, and
-   enforces discipline that no single-function syntactic check can see:
+   nkscope loads the *typedtrees* the main dune build already produced
+   (.cmt files), walks every unit once with [Tast_iterator], links the
+   units into an interprocedural call graph, and enforces the determinism
+   and invariant discipline the reproduction's claims rest on:
 
+   D2  no order-sensitive [Hashtbl.iter]/[Hashtbl.fold] — use
+       [Nkutil.Det_tbl] (key-sorted) or waive with (* nkscope: ordered-ok *);
+   D3  no bare [Stdlib.compare] passed as a function value, at any type —
+       use [Int.compare]/[Float.compare]/... (a local binding named
+       [compare] is not [Stdlib.compare] and is not flagged);
+   D4  no [Obj.magic]; no exception-swallowing [try ... with _ ->]
+       (waivers: magic-ok / swallow-ok);
+   H1  no full [Nqe.decode]/[Nqe.decode_from] in the lib/core hot-path
+       modules — the datapath reads fields through the zero-allocation
+       [Nqe.View] accessors; a deliberate full decode is waived with
+       (* nkscope: decode-ok *);
+   P1  NQE wire-protocol invariants in lib/core/nqe.ml: the declared
+       [size_bytes] must equal the encoder's written span, every opcode
+       constructor must appear in both the encode and decode match sites,
+       and encode must assign distinct byte values;
+   S1  every stage literal a lib/ unit passes to [Nkspan.begin_stage] has a
+       matching [end_stage] literal somewhere under lib/, and vice versa
+       (aggregated across units: Nk_device opens "ring", GuestLib,
+       CoreEngine and ServiceLib close it);
    O1  shard-ownership: CoreEngine's shared tables (conn_table, nsm_conns,
        assignment, buckets) may be written directly from shard context only
        on paths that charge the cross-shard cost — i.e. the writer reads
@@ -23,12 +42,14 @@
    T1  transitive determinism taint: taint seeded at wall-clock / ambient
        Random references propagates over the call graph (any mention of a
        function, including as a value, taints the mentioner), so a lib/
-       function reaching Unix.gettimeofday through helper chains is flagged
-       even though nklint's D1 only sees the direct call site. Waiver:
+       binding that reaches Unix.gettimeofday directly or through helper
+       chains is flagged. Anonymous top-level bindings
+       ([let () = Random.self_init ()]) count as bindings. Waiver:
        (* nkscope: nondet-ok *).
-   W1  a nkscope waiver comment that suppresses nothing, or an unknown
-       nkscope token, is itself reported so waivers cannot rot. Tokens
-       inside string literals (lint-test fixtures) are exempt.
+   W1  a waiver comment that suppresses nothing, an unknown [nkscope:]
+       token, or a leftover [nklint:] token is itself reported so waivers
+       cannot rot. Tokens inside string literals (lint-test fixtures) are
+       exempt.
 
    Approximations, chosen deliberately: call edges are resolved by
    (module, value) name after normalizing dune wrapper prefixes
@@ -36,9 +57,9 @@
    [module X = Path] aliases, and a leading [Stdlib.]. An alias chain that
    crosses another unit can drop an edge, and same-named modules in two
    libraries link to every candidate. Both err on the side the rules
-   tolerate: a dropped edge loses at most a diagnostic the syntactic D1
-   rule still catches at the direct site, and a duplicate edge only widens
-   taint/legality conservatively. *)
+   tolerate: a dropped edge loses at most a transitive diagnostic (the
+   binding that names a source is always flagged), and a duplicate edge
+   only widens taint/legality conservatively. *)
 
 open Typedtree
 
@@ -92,6 +113,18 @@ let loc_col (loc : Location.t) =
 let in_lib file =
   (String.length file >= 4 && String.sub file 0 4 = "lib/") || contains ~sub:"/lib/" file
 
+let diag ~file loc rule msg = { file; line = loc_line loc; col = loc_col loc; rule; msg }
+
+(* Apply [f] to every subexpression of [e], outermost first. *)
+let iter_expr f e =
+  let default = Tast_iterator.default_iterator in
+  let expr self e =
+    f e;
+    default.expr self e
+  in
+  let it = { default with expr } in
+  it.expr it e
+
 (* ---- name normalization ------------------------------------------------ *)
 
 (* [Nkcore__Coreengine] -> [Coreengine]: dune wrapper-prefixed unit names. *)
@@ -107,6 +140,59 @@ let after_dunder s =
 let split_path s = List.map after_dunder (String.split_on_char '.' s)
 
 let strip_stdlib = function "Stdlib" :: (_ :: _ as tl) -> tl | l -> l
+
+let rec last2 = function [ m; x ] -> Some (m, x) | _ :: tl -> last2 tl | [] -> None
+
+(* ---- per-identifier rules (D2–D4, H1) ----------------------------------- *)
+
+(* The lib/core modules on the per-NQE datapath, where a full record decode
+   is wall-clock the whole simulation pays millions of times. *)
+let hot_path_modules =
+  [
+    "coreengine.ml"; "nk_device.ml"; "queue_set.ml"; "vswitch.ml"; "nsm_shmem.ml";
+    "guestlib.ml"; "servicelib.ml";
+  ]
+
+let in_hot_path file =
+  contains ~sub:"core/" file && List.mem (Filename.basename file) hot_path_modules
+
+(* The rule an identifier use breaks, if any. [head] is true when the
+   identifier is applied directly: [compare a b] is monomorphized at the
+   call and is not what D3 flags; the bare value [List.sort compare] is. *)
+let ident_rule ~file ~head p comps =
+  match last2 comps with
+  | Some ("Hashtbl", (("iter" | "fold") as fn)) ->
+      Some
+        ( "D2",
+          Printf.sprintf
+            "Hashtbl.%s visits entries in nondeterministic bucket order — use \
+             Nkutil.Det_tbl.%s, or waive a provably order-insensitive site with (* \
+             nkscope: ordered-ok *)"
+            fn fn )
+  | Some ("Obj", "magic") ->
+      Some
+        ( "D4",
+          "Obj.magic defeats the type system (and corrupts flat-float-array payloads) \
+           — store a typed dummy/option instead" )
+  | Some ("Nqe", (("decode" | "decode_from") as fn)) when in_hot_path file ->
+      Some
+        ( "H1",
+          Printf.sprintf
+            "full Nqe.%s on the datapath allocates a record per NQE — read fields \
+             through Nqe.View, or waive a deliberate full decode with (* nkscope: \
+             decode-ok *)"
+            fn )
+  | _ when (not head) && Path.name p = "Stdlib.compare" ->
+      Some
+        ( "D3",
+          "bare polymorphic compare passed as a function — use Int.compare / \
+           Float.compare / String.compare or a purpose-built comparator" )
+  | _ -> None
+
+let swallow_msg =
+  "try ... with _ -> swallows every exception (including Stack_overflow and \
+   Assert_failure) — match the specific exceptions, or waive with (* nkscope: \
+   swallow-ok *)"
 
 (* ---- per-function / per-unit facts ------------------------------------- *)
 
@@ -133,6 +219,9 @@ type type_decl = {
   td_args : core_type list; (* variant constructor args + alias manifest *)
 }
 
+(* A string literal passed to [begin_stage] ([su_begin]) or [end_stage]. *)
+type stage_use = { su_file : string; su_line : int; su_stage : string; su_begin : bool }
+
 type unit_info = {
   u_name : string;
   u_file : string;
@@ -142,7 +231,185 @@ type unit_info = {
   u_types : type_decl list;
   u_exports : (expression * expression) option; (* (export, import) closures *)
   u_strlits : (int * int) list; (* line ranges of waiver-bearing string literals *)
+  u_local : diag list; (* D2–D4, H1, P1: decided within the unit *)
+  u_stages : stage_use list; (* S1 literals; lib/ units only *)
 }
+
+(* ---- P1: NQE wire-protocol invariants ----------------------------------- *)
+
+let int_const e =
+  match e.exp_desc with Texp_constant (Asttypes.Const_int n) -> Some n | _ -> None
+
+let top_binding (str : structure) name =
+  List.find_map
+    (fun it ->
+      match it.str_desc with
+      | Tstr_value (_, vbs) ->
+          List.find_opt
+            (fun vb ->
+              match vb.vb_pat.pat_desc with
+              | Tpat_var (_, n) -> n.Asttypes.txt = name
+              | _ -> false)
+            vbs
+      | _ -> None)
+    str.str_items
+
+(* (pattern, result) arms of [function ...] or [fun x -> match x with ...]. *)
+let fn_arms e =
+  match e.exp_desc with
+  | Texp_function { cases = [ { c_rhs = { exp_desc = Texp_match (_, cases, _); _ }; _ } ]; _ }
+    ->
+      Some
+        (List.filter_map
+           (fun c ->
+             match split_pattern c.c_lhs with Some p, _ -> Some (p, c.c_rhs) | None, _ -> None)
+           cases)
+  | Texp_function { cases; _ } -> Some (List.map (fun c -> (c.c_lhs, c.c_rhs)) cases)
+  | _ -> None
+
+(* Width in bytes of a [Bytes.set_*] writer, from its name. *)
+let set_width = function
+  | "set_uint8" | "set_int8" -> Some 1
+  | "set_uint16_le" | "set_uint16_be" | "set_uint16_ne" | "set_int16_le" | "set_int16_be"
+  | "set_int16_ne" ->
+      Some 2
+  | "set_int32_le" | "set_int32_be" | "set_int32_ne" -> Some 4
+  | "set_int64_le" | "set_int64_be" | "set_int64_ne" -> Some 8
+  | _ -> None
+
+let is_pos e =
+  match e.exp_desc with
+  | Texp_ident (Path.Pident id, _, _) -> Ident.name id = "pos"
+  | _ -> false
+
+(* Offset of the write position relative to [pos]: [pos] itself or
+   [pos + k]. *)
+let rel_offset e =
+  match e.exp_desc with
+  | _ when is_pos e -> Some 0
+  | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, [ (_, Some x); (_, Some k) ])
+    when Path.name p = "Stdlib.+" && is_pos x ->
+      int_const k
+  | _ -> None
+
+(* Max (offset + width) over every Bytes.set_* in the encoder body. *)
+let encoder_span body =
+  let span = ref None in
+  iter_expr
+    (fun e ->
+      match e.exp_desc with
+      | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) -> (
+          let positional =
+            List.filter_map
+              (function Asttypes.Nolabel, Some a -> Some a | _ -> None)
+              args
+          in
+          match (last2 (split_path (Path.name p)), positional) with
+          | Some ("Bytes", setter), _ :: pos :: _ -> (
+              match (set_width setter, rel_offset pos) with
+              | Some w, Some off ->
+                  let s = off + w in
+                  span := Some (match !span with None -> s | Some m -> Int.max m s)
+              | _ -> ())
+          | _ -> ())
+      | _ -> ())
+    body;
+  !span
+
+let p1_diags ~file (str : structure) =
+  let diags = ref [] in
+  let add loc msg = diags := diag ~file loc "P1" msg :: !diags in
+  let missing what loc = add loc (Printf.sprintf "expected %s in the NQE codec" what) in
+  let top_loc = match str.str_items with it :: _ -> it.str_loc | [] -> Location.none in
+  let op_ctors =
+    List.find_map
+      (fun it ->
+        match it.str_desc with
+        | Tstr_type (_, decls) ->
+            List.find_map
+              (fun d ->
+                match d.typ_kind with
+                | Ttype_variant cds when d.typ_name.Asttypes.txt = "op" ->
+                    Some (List.map (fun cd -> cd.cd_name.Asttypes.txt) cds)
+                | _ -> None)
+              decls
+        | _ -> None)
+      str.str_items
+  in
+  (match op_ctors with
+  | None -> missing "a [type op] variant declaration" top_loc
+  | Some ctors -> (
+      (* encode side: op_to_byte must pattern-match every constructor and
+         assign distinct byte values *)
+      (match top_binding str "op_to_byte" with
+      | None -> missing "an [op_to_byte] encode match" top_loc
+      | Some vb -> (
+          match fn_arms vb.vb_expr with
+          | None -> add vb.vb_loc "op_to_byte is not a single-match function"
+          | Some arms ->
+              let wildcard (p, _) = match p.pat_desc with Tpat_any -> true | _ -> false in
+              if not (List.exists wildcard arms) then (
+                let seen =
+                  List.filter_map
+                    (fun (p, _) ->
+                      match p.pat_desc with
+                      | Tpat_construct (_, cd, _, _) -> Some cd.Types.cstr_name
+                      | _ -> None)
+                    arms
+                in
+                List.iter
+                  (fun c ->
+                    if not (List.mem c seen) then
+                      add vb.vb_loc
+                        (Printf.sprintf "opcode %s missing from encode match (op_to_byte)" c))
+                  ctors);
+              let rec dup = function
+                | a :: (b :: _ as tl) -> if a = b then Some a else dup tl
+                | _ -> None
+              in
+              match dup (List.sort Int.compare (List.filter_map (fun (_, e) -> int_const e) arms))
+              with
+              | Some b ->
+                  add vb.vb_loc (Printf.sprintf "encode match assigns byte %d to two opcodes" b)
+              | None -> ()));
+      (* decode side: op_of_byte must produce every constructor *)
+      match top_binding str "op_of_byte" with
+      | None -> missing "an [op_of_byte] decode match" top_loc
+      | Some vb -> (
+          match fn_arms vb.vb_expr with
+          | None -> add vb.vb_loc "op_of_byte is not a single-match function"
+          | Some arms ->
+              let produced = ref [] in
+              List.iter
+                (fun (_, rhs) ->
+                  iter_expr
+                    (fun e ->
+                      match e.exp_desc with
+                      | Texp_construct (_, cd, _) ->
+                          produced := cd.Types.cstr_name :: !produced
+                      | _ -> ())
+                    rhs)
+                arms;
+              List.iter
+                (fun c ->
+                  if not (List.mem c !produced) then
+                    add vb.vb_loc
+                      (Printf.sprintf "opcode %s missing from decode match (op_of_byte)" c))
+                ctors)));
+  (* wire size: declared size_bytes = encoder's written span *)
+  (match (top_binding str "size_bytes", top_binding str "encode_into") with
+  | None, _ -> missing "a [size_bytes] wire-size constant" top_loc
+  | _, None -> missing "an [encode_into] writer" top_loc
+  | Some size_vb, Some enc_vb -> (
+      match (int_const size_vb.vb_expr, encoder_span enc_vb.vb_expr) with
+      | None, _ -> add size_vb.vb_loc "size_bytes is not an integer literal"
+      | _, None -> add enc_vb.vb_loc "encode_into contains no analyzable Bytes.set_* write"
+      | Some declared, Some span ->
+          if declared <> span then
+            add enc_vb.vb_loc
+              (Printf.sprintf "encoder writes a %d-byte span but size_bytes declares %d" span
+                 declared)));
+  !diags
 
 (* ---- typedtree extraction ---------------------------------------------- *)
 
@@ -178,6 +445,7 @@ let rec spine_has_shard_param e =
   | _ -> false
 
 let unit_of_structure ~file ~src ~name (str : structure) =
+  let lib = in_lib file in
   let aliases : (string, string list) Hashtbl.t = Hashtbl.create 8 in
   (* Pass 1: local [module X = Path] aliases, collected up front so
      references through them resolve regardless of declaration order. *)
@@ -213,11 +481,28 @@ let unit_of_structure ~file ~src ~name (str : structure) =
   let types = ref [] in
   let exports = ref None in
   let strlits = ref [] in
+  let local = ref [] in
+  let stages = ref [] in
+  let add_local loc rule msg = local := diag ~file loc rule msg :: !local in
+  (* Identifiers in function-head position (see [ident_rule]). *)
+  let heads = Hashtbl.create 64 in
   let scan_expr (f : func) e0 =
     let default = Tast_iterator.default_iterator in
     let expr self e =
       (match e.exp_desc with
-      | Texp_ident (p, _, _) -> f.f_refs <- normalize p :: f.f_refs
+      | Texp_ident (p, _, _) ->
+          let comps = normalize p in
+          f.f_refs <- comps :: f.f_refs;
+          Option.iter
+            (fun (rule, msg) -> add_local e.exp_loc rule msg)
+            (ident_rule ~file ~head:(Hashtbl.mem heads e.exp_loc) p comps)
+      | Texp_try (_, cases) ->
+          List.iter
+            (fun c ->
+              match c.c_lhs.pat_desc with
+              | Tpat_any -> add_local c.c_lhs.pat_loc "D4" swallow_msg
+              | _ -> ())
+            cases
       | Texp_field (_, _, ld) -> f.f_field_reads <- ld.Types.lbl_name :: f.f_field_reads
       | Texp_setfield (_, _, ld, _) ->
           f.f_field_writes <- ld.Types.lbl_name :: f.f_field_writes
@@ -239,7 +524,8 @@ let unit_of_structure ~file ~src ~name (str : structure) =
             match (List.assoc_opt "export" labels, List.assoc_opt "import" labels) with
             | Some ex, Some im -> exports := Some (ex, im)
             | _ -> ())
-      | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) -> (
+      | Texp_apply ({ exp_desc = Texp_ident (p, _, _); exp_loc; _ }, args) -> (
+          Hashtbl.replace heads exp_loc ();
           match normalize p with
           | [ "Hashtbl"; m ] when List.mem m hashtbl_mutators -> (
               let first_pos =
@@ -254,6 +540,26 @@ let unit_of_structure ~file ~src ~name (str : structure) =
                   f.f_table_writes <-
                     (ld.Types.lbl_name, loc_line exp_loc, loc_col exp_loc)
                     :: f.f_table_writes
+              | _ -> ())
+          | comps when lib -> (
+              match List.rev comps with
+              | ("begin_stage" | "end_stage") as fn :: _ ->
+                  List.iter
+                    (function
+                      | ( Asttypes.Nolabel,
+                          Some
+                            { exp_desc = Texp_constant (Asttypes.Const_string (s, _, _)); exp_loc; _ }
+                        ) ->
+                          stages :=
+                            {
+                              su_file = file;
+                              su_line = loc_line exp_loc;
+                              su_stage = s;
+                              su_begin = fn = "begin_stage";
+                            }
+                            :: !stages
+                      | _ -> ())
+                    args
               | _ -> ())
           | _ -> ())
       | _ -> ());
@@ -270,7 +576,7 @@ let unit_of_structure ~file ~src ~name (str : structure) =
         f_name = fname;
         f_line = loc_line loc;
         f_col = loc_col loc;
-        f_in_lib = in_lib file;
+        f_in_lib = lib;
         f_id = -1;
         f_refs = [];
         f_field_reads = [];
@@ -317,6 +623,10 @@ let unit_of_structure ~file ~src ~name (str : structure) =
     in
     types := td :: !types
   in
+  (* Anonymous bindings ([let () = ...], top-level expressions) become
+     pseudo-functions so every expression in the unit is scanned and T1
+     sees a nondeterminism source that no named binding mentions. *)
+  let anonymous = "top-level expression" in
   let rec item_pass items =
     List.iter
       (fun it ->
@@ -326,34 +636,49 @@ let unit_of_structure ~file ~src ~name (str : structure) =
               (fun vb ->
                 match vb.vb_pat.pat_desc with
                 | Tpat_var (_, n) -> add_func n.Asttypes.txt vb.vb_pat.pat_loc vb.vb_expr
-                | _ -> ())
+                | _ -> add_func anonymous vb.vb_pat.pat_loc vb.vb_expr)
               vbs
+        | Tstr_eval (e, _) -> add_func anonymous e.exp_loc e
         | Tstr_type (_, decls) -> List.iter add_type decls
-        | Tstr_module mb -> (
-            match mb.mb_expr.mod_desc with
-            | Tmod_structure s -> item_pass s.str_items
-            | Tmod_constraint ({ mod_desc = Tmod_structure s; _ }, _, _, _) ->
-                item_pass s.str_items
-            | _ -> ())
+        | Tstr_module mb -> module_pass mb.mb_expr
+        | Tstr_recmodule mbs -> List.iter (fun mb -> module_pass mb.mb_expr) mbs
+        | Tstr_include incl -> module_pass incl.incl_mod
         | _ -> ())
       items
+  and module_pass me =
+    match me.mod_desc with
+    | Tmod_structure s -> item_pass s.str_items
+    | Tmod_constraint (me, _, _, _) | Tmod_functor (_, me) | Tmod_apply_unit me ->
+        module_pass me
+    | Tmod_apply (fn, arg, _) ->
+        module_pass fn;
+        module_pass arg
+    | Tmod_ident _ | Tmod_unpack _ -> ()
   in
   item_pass str.str_items;
+  if lib && Filename.basename file = "nqe.ml" then local := p1_diags ~file str @ !local;
   {
     u_name = name;
     u_file = file;
     u_src = src;
-    u_in_lib = in_lib file;
+    u_in_lib = lib;
     u_funcs = List.rev !funcs;
     u_types = List.rev !types;
     u_exports = !exports;
     u_strlits = !strlits;
+    u_local = !local;
+    u_stages = List.rev !stages;
   }
 
 (* ---- waivers ----------------------------------------------------------- *)
 
+(* The one waiver table: [(* nkscope: <word> *)] suppresses a diagnostic of
+   the paired rule on the same or the next line. *)
 let waiver_tokens =
-  [ ("nkscope: volatile", "M1"); ("nkscope: ce-owner", "O1"); ("nkscope: nondet-ok", "T1") ]
+  [
+    ("ordered-ok", "D2"); ("magic-ok", "D4"); ("swallow-ok", "D4"); ("decode-ok", "H1");
+    ("ce-owner", "O1"); ("volatile", "M1"); ("nondet-ok", "T1");
+  ]
 
 type waiver = { w_line : int; w_rule : string; w_token : string; mutable w_used : bool }
 
@@ -383,27 +708,25 @@ let scan_waivers u =
     List.exists (fun (a, b) -> line >= a && line <= b) u.u_strlits
   in
   let waivers = ref [] and unknown = ref [] in
+  let w1 line msg = unknown := { file = u.u_file; line; col = 0; rule = "W1"; msg } :: !unknown in
   List.iteri
     (fun i line ->
       let lnum = i + 1 in
-      if (not (in_strlit lnum)) && contains ~sub:"nkscope:" line then
-        match token_word line "nkscope:" with
+      if not (in_strlit lnum) then (
+        (match token_word line "nkscope:" with
         | None | Some "" -> ()
-        | Some word ->
+        | Some word -> (
             let token = "nkscope: " ^ word in
-            (match List.assoc_opt token waiver_tokens with
+            match List.assoc_opt word waiver_tokens with
             | Some rule ->
                 waivers := { w_line = lnum; w_rule = rule; w_token = token; w_used = false } :: !waivers
-            | None ->
-                unknown :=
-                  {
-                    file = u.u_file;
-                    line = lnum;
-                    col = 0;
-                    rule = "W1";
-                    msg = Printf.sprintf "unknown nkscope waiver token %S" token;
-                  }
-                  :: !unknown))
+            | None -> w1 lnum (Printf.sprintf "unknown nkscope waiver token %S" token)));
+        match token_word line "nklint:" with
+        | None | Some "" -> ()
+        | Some word ->
+            w1 lnum
+              (Printf.sprintf "unknown waiver token %S — waivers take the nkscope: prefix"
+                 ("nklint: " ^ word))))
     (String.split_on_char '\n' u.u_src);
   (List.rev !waivers, List.rev !unknown)
 
@@ -537,39 +860,26 @@ let m1_unit u =
   (* Mode B: CC-style export/import closures over local state records. *)
   (match u.u_exports with
   | Some (ex, im) ->
-      let probe =
-        {
-          f_unit = u.u_name; f_file = u.u_file; f_name = "(export)"; f_line = 0; f_col = 0;
-          f_in_lib = u.u_in_lib; f_id = -1; f_refs = []; f_field_reads = [];
-          f_field_writes = []; f_table_writes = []; f_shard_param = false;
-        }
-      in
-      let collect e =
-        let f = { probe with f_refs = []; f_field_reads = []; f_field_writes = [] } in
-        let default = Tast_iterator.default_iterator in
-        let expr self e =
-          (match e.exp_desc with
-          | Texp_field (_, _, ld) -> f.f_field_reads <- ld.Types.lbl_name :: f.f_field_reads
-          | Texp_setfield (_, _, ld, _) ->
-              f.f_field_writes <- ld.Types.lbl_name :: f.f_field_writes
-          | _ -> ());
-          default.expr self e
-        in
-        let it = { default with expr } in
-        it.expr it e;
-        f
-      in
-      let er = (collect ex).f_field_reads in
-      let iw = (collect im).f_field_writes in
+      let er = ref [] and iw = ref [] in
+      iter_expr
+        (fun e ->
+          match e.exp_desc with Texp_field (_, _, ld) -> er := ld.Types.lbl_name :: !er | _ -> ())
+        ex;
+      iter_expr
+        (fun e ->
+          match e.exp_desc with
+          | Texp_setfield (_, _, ld, _) -> iw := ld.Types.lbl_name :: !iw
+          | _ -> ())
+        im;
       List.iter
         (fun td ->
           if td.td_name <> "t" then
             List.iter
               (fun tf ->
                 if tf.tf_mut then (
-                  if not (List.mem tf.tf_name er) then
+                  if not (List.mem tf.tf_name !er) then
                     add tf.tf_line (td.td_name ^ "." ^ tf.tf_name) "read" "the [export] closure";
-                  if not (List.mem tf.tf_name iw) then
+                  if not (List.mem tf.tf_name !iw) then
                     add tf.tf_line (td.td_name ^ "." ^ tf.tf_name) "written" "the [import] closure"))
               td.td_fields)
         (List.filter (fun td -> td.td_fields <> []) u.u_types)
@@ -596,11 +906,6 @@ let graph_diags units =
       Hashtbl.replace index key (i :: (try Hashtbl.find index key with Not_found -> [])))
     funcs;
   let resolve f comps =
-    let rec last2 = function
-      | [ m; x ] -> Some (m, x)
-      | _ :: tl -> last2 tl
-      | [] -> None
-    in
     let key =
       match comps with [ x ] -> Some (f.f_unit, x) | l -> last2 l
     in
@@ -707,19 +1012,52 @@ let graph_diags units =
                    msg =
                      Printf.sprintf
                        "[%s] reaches a nondeterminism source (%s) — take time from \
-                        Sim.Engine / randomness from Nkutil.Rng, or waive with (* \
-                        nkscope: nondet-ok *)"
+                        Sim.Engine / randomness from Nkutil.Rng (wall clock belongs in \
+                        perfbench/ only), or waive with (* nkscope: nondet-ok *)"
                        f.f_name chain;
                  }
            | _ -> None)
   in
   o1 @ t1
 
+(* ---- S1: span stage begin/end pairing ---------------------------------- *)
+
+(* One diagnostic per unmatched stage literal, anchored at its first use.
+   [uses] spans every lib/ unit of the invocation: a begun stage with no
+   closer anywhere would only ever be closed implicitly (by a later
+   begin_stage or by finish), which silently reshapes the latency
+   breakdown. *)
+let span_pairing uses =
+  let side b = List.filter (fun u -> u.su_begin = b) uses in
+  let unmatched uses others fn other_fn =
+    List.sort_uniq String.compare (List.map (fun u -> u.su_stage) uses)
+    |> List.filter_map (fun stage ->
+           if List.exists (fun u -> String.equal u.su_stage stage) others then None
+           else
+             let u = List.find (fun u -> String.equal u.su_stage stage) uses in
+             Some
+               {
+                 file = u.su_file;
+                 line = u.su_line;
+                 col = 0;
+                 rule = "S1";
+                 msg =
+                   Printf.sprintf "%s %S has no matching %s literal anywhere under lib/" fn
+                     stage other_fn;
+               })
+  in
+  let begins = side true and ends = side false in
+  unmatched begins ends "begin_stage" "end_stage"
+  @ unmatched ends begins "end_stage" "begin_stage"
+
 (* ---- driver ------------------------------------------------------------ *)
 
 let analyze units =
   let pre =
-    graph_diags units @ List.concat_map m1_unit (List.filter (fun u -> u.u_in_lib) units)
+    List.concat_map (fun u -> u.u_local) units
+    @ graph_diags units
+    @ List.concat_map m1_unit (List.filter (fun u -> u.u_in_lib) units)
+    @ span_pairing (List.concat_map (fun u -> u.u_stages) units)
   in
   let per_unit = List.map (fun u -> (u.u_file, scan_waivers u)) units in
   let kept =
@@ -768,16 +1106,19 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* None for unreadable files, interfaces, and generated units (dune's
+   [*.ml-gen] library and [dune__exe] alias modules): only typedtrees of
+   hand-written .ml sources are analyzed. *)
 let unit_of_cmt path =
   match Cmt_format.read_cmt path with
   | exception _ -> None
   | ci -> (
+      let file =
+        match ci.Cmt_format.cmt_sourcefile with Some f -> f | None -> path
+      in
       match ci.Cmt_format.cmt_annots with
-      | Cmt_format.Implementation str ->
+      | Cmt_format.Implementation str when Filename.check_suffix file ".ml" ->
           let name = after_dunder ci.Cmt_format.cmt_modname in
-          let file =
-            match ci.Cmt_format.cmt_sourcefile with Some f -> f | None -> path
-          in
           (* cmt_builddir can be stale (dune sanitizes it), so resolve the
              source cwd-relative first and fall back to the recorded dir. *)
           let src =
