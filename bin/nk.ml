@@ -85,7 +85,8 @@ let bench_cmd =
           ~doc:
             "Relative tolerance for numeric cells under --compare (default \
              0.001; the simulated tables are deterministic, so drift beyond \
-             rendering noise is a real behaviour change).")
+             rendering noise is a real behaviour change). At 0 every cell \
+             must match as a string.")
   in
   let read_snapshot path =
     let ic = open_in_bin path in

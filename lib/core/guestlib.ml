@@ -61,15 +61,13 @@ type t = {
   costs : Nk_costs.t;
   profile : Sim.Cost_profile.t;
   socks : (int, gsock) Hashtbl.t;
-  epolls : (Socket_api.epoll, Socket_api.sock Epoll_core.t) Hashtbl.t;
-  memberships : (Socket_api.sock, Socket_api.epoll list ref) Hashtbl.t;
+  epolls : Epoll_core.t;
   qstates : qset_state array;
   mon : Nkmon.t;
   spans : Nkspan.t;
   instance : string; (* "vm<id>", the span/metric component instance *)
   ctr : counters;
   mutable next_gid : int;
-  mutable next_ep : int;
 }
 
 let stats t =
@@ -88,14 +86,14 @@ let dbg fmt = if nk_debug then Printf.eprintf fmt else Printf.ifprintf stderr fm
 
 let hash_qset t sock = sock * 2654435761 land max_int mod Cpu.Set.n t.cores
 
-let core_for t gs = Cpu.Set.core t.cores gs.qset
+let core_for cores gs = Cpu.Set.core cores gs.qset
 
 let find t gid = Hashtbl.find_opt t.socks gid
 
 (* ---- epoll plumbing ----------------------------------------------------- *)
 
-let gsock_events t gid =
-  match find t gid with
+let gsock_events costs socks gid =
+  match Hashtbl.find_opt socks gid with
   | None -> { Types.readable = false; writable = false; hup = true }
   | Some gs -> (
       match gs.state with
@@ -112,20 +110,14 @@ let gsock_events t gid =
           let hup = gs.err <> None in
           {
             Types.readable = gs.recv_avail > 0 || (gs.eof && not gs.eof_delivered) || hup;
-            writable = gs.sendbuf_used < t.costs.Nk_costs.guest_sendbuf;
+            writable = gs.sendbuf_used < costs.Nk_costs.guest_sendbuf;
             hup;
           })
 
-let notify_epolls t gid =
-  match Hashtbl.find_opt t.memberships gid with
-  | None -> ()
-  | Some eps ->
-      List.iter
-        (fun epid ->
-          match Hashtbl.find_opt t.epolls epid with
-          | None -> ()
-          | Some ep -> Epoll_core.notify ep gid)
-        !eps
+let gsock_core cores socks gid =
+  match Hashtbl.find_opt socks gid with
+  | Some gs -> core_for cores gs
+  | None -> Cpu.Set.core cores 0
 
 (* ---- NQE posting -------------------------------------------------------- *)
 
@@ -176,7 +168,7 @@ let apply t (nqe : Nqe.t) =
       | None -> ()
       | Some gs ->
           (match err with Some e -> gs.err <- Some e | None -> ());
-          notify_epolls t gs.gid)
+          Epoll_core.notify t.epolls gs.gid)
   | Nqe.Comp_connect -> (
       match find t nqe.Nqe.sock with
       | None -> ()
@@ -191,7 +183,7 @@ let apply t (nqe : Nqe.t) =
           | Some k ->
               gs.on_connect <- None;
               k (match err with None -> Ok () | Some e -> Error e));
-          notify_epolls t gs.gid)
+          Epoll_core.notify t.epolls gs.gid)
   | Nqe.Comp_send -> (
       free_send_extent t nqe;
       Nkspan.end_stage t.spans ~id:nqe.Nqe.span "completion";
@@ -205,7 +197,7 @@ let apply t (nqe : Nqe.t) =
             gs.close_pending <- false;
             post_op t gs Nqe.Close ()
           end;
-          notify_epolls t gs.gid)
+          Epoll_core.notify t.epolls gs.gid)
   | Nqe.Comp_close -> Hashtbl.remove t.socks nqe.Nqe.sock
   | Nqe.Ev_accept -> (
       match find t nqe.Nqe.sock with
@@ -236,11 +228,11 @@ let apply t (nqe : Nqe.t) =
           Hashtbl.replace t.socks gid gs;
           if Queue.is_empty lsock.accept_waiters then begin
             Queue.add (gid, peer) lsock.acceptq;
-            notify_epolls t lsock.gid
+            Epoll_core.notify t.epolls lsock.gid
           end
           else begin
             let k = Queue.pop lsock.accept_waiters in
-            Cpu.exec (core_for t gs) ~cycles:t.costs.Nk_costs.nk_syscall (fun () ->
+            Cpu.exec (core_for t.cores gs) ~cycles:t.costs.Nk_costs.nk_syscall (fun () ->
                 k (Ok (gid, peer)))
           end
       | Some _ -> ())
@@ -258,17 +250,16 @@ let apply t (nqe : Nqe.t) =
             }
             gs.recvq;
           gs.recv_avail <- gs.recv_avail + nqe.Nqe.size;
-          dbg "[%.4f] glib: gid=%x ev_data %d avail=%d members=%b\n"
-            (Engine.now t.engine) gs.gid nqe.Nqe.size gs.recv_avail
-            (Hashtbl.mem t.memberships gs.gid);
+          dbg "[%.4f] glib: gid=%x ev_data %d avail=%d\n" (Engine.now t.engine) gs.gid
+            nqe.Nqe.size gs.recv_avail;
           Nkmon.Registry.add t.ctr.c_bytes_received nqe.Nqe.size;
-          notify_epolls t gs.gid)
+          Epoll_core.notify t.epolls gs.gid)
   | Nqe.Ev_eof -> (
       match find t nqe.Nqe.sock with
       | None -> ()
       | Some gs ->
           gs.eof <- true;
-          notify_epolls t gs.gid)
+          Epoll_core.notify t.epolls gs.gid)
   | Nqe.Ev_err -> (
       match find t nqe.Nqe.sock with
       | None -> ()
@@ -283,7 +274,7 @@ let apply t (nqe : Nqe.t) =
           (* A dying listener must fail its parked accepts, not strand them. *)
           Queue.iter (fun k -> k (Error e)) gs.accept_waiters;
           Queue.clear gs.accept_waiters;
-          notify_epolls t gs.gid)
+          Epoll_core.notify t.epolls gs.gid)
   | Nqe.Socket | Nqe.Bind | Nqe.Listen | Nqe.Connect | Nqe.Send | Nqe.Recv_done | Nqe.Close
     ->
       (* VM-bound queues never carry VM-to-NSM ops. *)
@@ -368,7 +359,7 @@ let api t =
   let socket () =
     let gs = alloc_gsock t in
     Hashtbl.replace t.socks gs.gid gs;
-    Cpu.charge (core_for t gs) ~cycles:(control_cycles t);
+    Cpu.charge (core_for t.cores gs) ~cycles:(control_cycles t);
     post_op t gs Nqe.Socket ();
     Ok gs.gid
   in
@@ -377,7 +368,7 @@ let api t =
     | None -> Error Types.Einval
     | Some gs ->
         gs.local <- Some addr;
-        Cpu.charge (core_for t gs) ~cycles:(control_cycles t);
+        Cpu.charge (core_for t.cores gs) ~cycles:(control_cycles t);
         post_op t gs Nqe.Bind ~op_data:(Nqe.pack_addr addr) ();
         Ok ()
   in
@@ -390,7 +381,7 @@ let api t =
         | Some _ ->
             gs.state <- Glistening;
             gs.backlog <- backlog;
-            Cpu.charge (core_for t gs) ~cycles:(control_cycles t);
+            Cpu.charge (core_for t.cores gs) ~cycles:(control_cycles t);
             post_op t gs Nqe.Listen ~op_data:(Int64.of_int backlog) ();
             Ok ())
   in
@@ -403,7 +394,7 @@ let api t =
         if Queue.is_empty gs.acceptq then Queue.add k gs.accept_waiters
         else begin
           let cgid, peer = Queue.pop gs.acceptq in
-          Cpu.exec (core_for t gs) ~cycles:(control_cycles t) (fun () -> k (Ok (cgid, peer)))
+          Cpu.exec (core_for t.cores gs) ~cycles:(control_cycles t) (fun () -> k (Ok (cgid, peer)))
         end
     | Some _ -> k (Error Types.Einval)
   in
@@ -414,7 +405,7 @@ let api t =
         gs.state <- Gconnecting;
         gs.peer <- Some dst;
         gs.on_connect <- Some k;
-        Cpu.charge (core_for t gs) ~cycles:(control_cycles t);
+        Cpu.charge (core_for t.cores gs) ~cycles:(control_cycles t);
         post_op t gs Nqe.Connect ~op_data:(Nqe.pack_addr dst) ()
     | Some _ -> k (Error Types.Einval)
   in
@@ -430,14 +421,14 @@ let api t =
             let n = Int.min want room in
             if n <= 0 then begin
               Nkmon.Registry.incr t.ctr.c_send_eagain;
-              Cpu.charge (core_for t gs) ~cycles:t.costs.Nk_costs.nk_syscall;
+              Cpu.charge (core_for t.cores gs) ~cycles:t.costs.Nk_costs.nk_syscall;
               k (Error Types.Eagain)
             end
             else
               match Hugepages.alloc (Nk_device.hugepages t.device) n with
               | None ->
                   Nkmon.Registry.incr t.ctr.c_send_eagain;
-                  Cpu.charge (core_for t gs) ~cycles:t.costs.Nk_costs.nk_syscall;
+                  Cpu.charge (core_for t.cores gs) ~cycles:t.costs.Nk_costs.nk_syscall;
                   k (Error Types.Eagain)
               | Some extent ->
                   let synthetic =
@@ -454,7 +445,7 @@ let api t =
                   let span = Nkspan.sample t.spans ~vm:t.instance in
                   Nkspan.begin_stage t.spans ~id:span ~component:t.instance "guestlib";
                   Nkspan.frame t.spans ~component:t.instance ~stage:"send" (fun () ->
-                      Cpu.exec (core_for t gs) ~cycles (fun () ->
+                      Cpu.exec (core_for t.cores gs) ~cycles (fun () ->
                           (match payload with
                           | Types.Data s ->
                               Hugepages.write_payload (Nk_device.hugepages t.device) extent
@@ -480,7 +471,7 @@ let api t =
             t.costs.Nk_costs.nk_syscall +. t.costs.Nk_costs.nqe_encode
             +. (float_of_int est *. t.profile.Sim.Cost_profile.per_byte_user_copy)
           in
-          Cpu.exec (core_for t gs) ~cycles (fun () ->
+          Cpu.exec (core_for t.cores gs) ~cycles (fun () ->
               match Queue.peek_opt gs.recvq with
               | None ->
                   if gs.eof && not gs.eof_delivered then begin
@@ -515,7 +506,7 @@ let api t =
           k (Ok (match mode with `Discard -> Types.Zeros 0 | `Copy | `Auto -> Types.Data ""))
         end
         else begin
-          Cpu.charge (core_for t gs) ~cycles:t.costs.Nk_costs.nk_syscall;
+          Cpu.charge (core_for t.cores gs) ~cycles:t.costs.Nk_costs.nk_syscall;
           match gs.err with Some e -> k (Error e) | None -> k (Error Types.Eagain)
         end
   in
@@ -523,7 +514,7 @@ let api t =
     match find t gid with
     | None -> ()
     | Some gs ->
-        Cpu.charge (core_for t gs) ~cycles:(control_cycles t);
+        Cpu.charge (core_for t.cores gs) ~cycles:(control_cycles t);
         (* Free any unread receive extents; the NSM stops delivering after
            the close NQE. *)
         Queue.iter
@@ -539,58 +530,7 @@ let api t =
            overtake data. *)
         if gs.sendbuf_used > 0 then gs.close_pending <- true
         else post_op t gs Nqe.Close ();
-        (match Hashtbl.find_opt t.memberships gid with
-        | None -> ()
-        | Some eps ->
-            List.iter
-              (fun epid ->
-                match Hashtbl.find_opt t.epolls epid with
-                | None -> ()
-                | Some ep -> Epoll_core.del ep gid)
-              !eps;
-            Hashtbl.remove t.memberships gid)
-  in
-  let epoll_create () =
-    let epid = t.next_ep in
-    t.next_ep <- t.next_ep + 1;
-    let core_of gid =
-      match find t gid with
-      | Some gs -> core_for t gs
-      | None -> Cpu.Set.core t.cores 0
-    in
-    Hashtbl.replace t.epolls epid
-      (Epoll_core.create ~engine:t.engine ~cmp:Int.compare ~events_of:(gsock_events t)
-         ~core_of ~wake_cycles:t.costs.Nk_costs.guest_epoll_wake ());
-    epid
-  in
-  let epoll_add epid gid ~mask =
-    match Hashtbl.find_opt t.epolls epid with
-    | None -> ()
-    | Some ep ->
-        Epoll_core.add ep gid ~mask;
-        let eps =
-          match Hashtbl.find_opt t.memberships gid with
-          | Some l -> l
-          | None ->
-              let l = ref [] in
-              Hashtbl.replace t.memberships gid l;
-              l
-        in
-        if not (List.mem epid !eps) then eps := epid :: !eps
-  in
-  let epoll_del epid gid =
-    match Hashtbl.find_opt t.epolls epid with
-    | None -> ()
-    | Some ep ->
-        Epoll_core.del ep gid;
-        (match Hashtbl.find_opt t.memberships gid with
-        | None -> ()
-        | Some eps -> eps := List.filter (fun e -> e <> epid) !eps)
-  in
-  let epoll_wait epid ~timeout ~k =
-    match Hashtbl.find_opt t.epolls epid with
-    | None -> k []
-    | Some ep -> Epoll_core.wait ep ~timeout ~k
+        Epoll_core.forget t.epolls gid
   in
   let local_addr gid = Option.bind (find t gid) (fun gs -> gs.local) in
   let peer_addr gid = Option.bind (find t gid) (fun gs -> gs.peer) in
@@ -603,10 +543,10 @@ let api t =
     send;
     recv;
     close;
-    epoll_create;
-    epoll_add;
-    epoll_del;
-    epoll_wait;
+    epoll_create = Epoll_core.epoll_create t.epolls;
+    epoll_add = Epoll_core.epoll_add t.epolls;
+    epoll_del = Epoll_core.epoll_del t.epolls;
+    epoll_wait = Epoll_core.epoll_wait t.epolls;
     local_addr;
     peer_addr;
   }
@@ -630,11 +570,11 @@ let remigrate_listeners t =
                  and re-registers the endpoint on the new NSM. A crash error
                  is wiped — the reborn listener starts clean. *)
               gs.err <- None;
-              Cpu.charge (core_for t gs) ~cycles:(3.0 *. control_cycles t);
+              Cpu.charge (core_for t.cores gs) ~cycles:(3.0 *. control_cycles t);
               post_op t gs Nqe.Socket ();
               post_op t gs Nqe.Bind ~op_data:(Nqe.pack_addr addr) ();
               post_op t gs Nqe.Listen ~op_data:(Int64.of_int gs.backlog) ();
-              notify_epolls t gs.gid)
+              Epoll_core.notify t.epolls gs.gid)
       | _ -> ())
     (listening_socks t)
 
@@ -642,6 +582,7 @@ let create ~engine ~vm_id ~cores ~device ~costs ~profile ?(mon = Nkmon.null ())
     ?(spans = Nkspan.null ()) () =
   let instance = Printf.sprintf "vm%d" vm_id in
   let c name = Nkmon.counter mon ~component:"guestlib" ~instance ~name in
+  let socks = Hashtbl.create 256 in
   let t =
     {
       engine;
@@ -650,9 +591,11 @@ let create ~engine ~vm_id ~cores ~device ~costs ~profile ?(mon = Nkmon.null ())
       device;
       costs;
       profile;
-      socks = Hashtbl.create 256;
-      epolls = Hashtbl.create 4;
-      memberships = Hashtbl.create 256;
+      socks;
+      epolls =
+        Epoll_core.create ~engine ~events_of:(gsock_events costs socks)
+          ~core_of:(gsock_core cores socks)
+          ~wake_cycles:costs.Nk_costs.guest_epoll_wake ();
       qstates =
         Array.init (Nk_device.n_qsets device) (fun _ ->
             { scheduled = false; last_active = 0.0; scratch = Array.make 128 Bytes.empty });
@@ -668,7 +611,6 @@ let create ~engine ~vm_id ~cores ~device ~costs ~profile ?(mon = Nkmon.null ())
           c_send_eagain = c "send_eagain";
         };
       next_gid = 1;
-      next_ep = 1;
     }
   in
   Nk_device.set_kick_owner device (fun qi -> on_kick t qi);

@@ -6,8 +6,9 @@
     the VM's NK device: control operations go to the job queue, sends copy
     payload into the shared hugepages and enqueue a send NQE, results and
     receive events come back through the completion and receive queues.
-    I/O event notification (epoll) is served locally from GuestLib state,
-    woken by the NK device's interrupt-driven polling (§4.6).
+    I/O event notification (epoll) is served locally from GuestLib state
+    through a {!Tcpstack.Epoll_core} registry, woken by the NK device's
+    interrupt-driven polling (§4.6).
 
     Send-buffer semantics follow the paper's pipelining: [send] returns as
     soon as payload is in the hugepages; the NSM's completion NQE returns

@@ -1,6 +1,6 @@
 (* Committed performance baselines and the `nk bench --compare` diff.
 
-   A bench snapshot is the simulated result table of a quick-mode
+   A bench snapshot is the simulated result table and notes of a quick-mode
    experiment (deterministic, so any drift is a real behaviour change)
    plus the wall-clock seconds the run took (machine-dependent, reported
    but never gating). Snapshots serialize to a small JSON file that gets
@@ -11,26 +11,14 @@ type entry = {
   b_headers : string list;
   b_rows : string list list;
   b_percentiles : Report.pctl list;
+  b_notes : string list;
   b_wall_s : float;
 }
 
 (* ---- serialization ------------------------------------------------------ *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json entries =
-  let str s = "\"" ^ escape s ^ "\"" in
+  let str s = "\"" ^ Nkutil.Json.escape s ^ "\"" in
   let arr items = "[" ^ String.concat ", " items ^ "]" in
   (* Fixed decimals keep the rendering deterministic across runs. *)
   let pctl (p : Report.pctl) =
@@ -55,7 +43,11 @@ let to_json entries =
              Printf.sprintf "    \"percentiles\": %s,"
                (arr (List.map pctl e.b_percentiles));
            ])
-      @ [ Printf.sprintf "    \"wall_s\": %.3f" e.b_wall_s; "  }" ])
+      @ [
+          Printf.sprintf "    \"notes\": %s," (arr (List.map str e.b_notes));
+          Printf.sprintf "    \"wall_s\": %.3f" e.b_wall_s;
+          "  }";
+        ])
   in
   "[\n" ^ String.concat ",\n" (List.map entry entries) ^ "\n]\n"
 
@@ -210,6 +202,7 @@ let of_json text =
               (match List.assoc_opt "percentiles" o with
               | None -> []
               | Some v -> List.map pctl (as_list v));
+            b_notes = List.map as_string (as_list (field o "notes"));
             b_wall_s = as_float (field o "wall_s");
           }
       | _ -> raise (Parse "expected entry object")
@@ -224,7 +217,9 @@ let of_json text =
 (* Cells are rendered numbers with unit suffixes ("1687.6K", "34.8",
    "86%"). Compare the numeric prefix with a relative tolerance when both
    sides have one (suffixes must still match); fall back to string
-   equality otherwise. *)
+   equality otherwise. At tolerance 0 every cell is compared as a string:
+   a 40-digit sparkline parses as one float, which would hide a change
+   past its 17th digit. *)
 let split_number cell =
   let n = String.length cell in
   let i = ref 0 in
@@ -251,7 +246,7 @@ let compare_entries ~tolerance ~baseline ~fresh =
   in
   let check_cell ~id ~where old_c new_c =
     match (split_number old_c, split_number new_c) with
-    | Some (a, sa), Some (b, sb) when sa = sb ->
+    | Some (a, sa), Some (b, sb) when sa = sb && tolerance > 0.0 ->
         let scale = Float.max (Float.abs a) (Float.abs b) in
         let delta = Float.abs (a -. b) in
         if scale > 0.0 && delta /. scale > tolerance then
@@ -291,6 +286,12 @@ let compare_entries ~tolerance ~baseline ~fresh =
                       check_cell ~id:old_e.b_id ~where old_c new_c)
                     (List.combine old_r new_r))
               (List.combine old_e.b_rows new_e.b_rows);
+          (* Notes carry free-form simulated results (e.g. slo's flight-dump
+             digest), so they must match exactly at any tolerance. *)
+          if old_e.b_notes <> new_e.b_notes then
+            fail ~id:old_e.b_id ~where:"notes"
+              ~old_v:(String.concat " | " old_e.b_notes)
+              ~new_v:(String.concat " | " new_e.b_notes);
           (* An empty baseline list means the snapshot predates percentile
              recording — nothing to hold the fresh run to. *)
           List.iter
@@ -350,5 +351,6 @@ let of_report ~wall_s (r : Report.t) =
     b_headers = r.Report.headers;
     b_rows = r.Report.rows;
     b_percentiles = r.Report.percentiles;
+    b_notes = r.Report.notes;
     b_wall_s = wall_s;
   }

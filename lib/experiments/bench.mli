@@ -1,10 +1,10 @@
 (** Committed performance baselines for `nk bench`.
 
     A snapshot records a quick-mode experiment's simulated result table
-    (deterministic — any drift is a behaviour change, which is why CI can
-    diff it with a tight tolerance) together with the run's wall-clock
-    seconds (machine-dependent, so only ever reported as a ratio, never
-    gated on). Snapshots live in committed BENCH_<id>.json files. *)
+    and report notes (deterministic — any drift is a behaviour change,
+    which is why CI can diff it with a tight tolerance) together with the
+    run's wall-clock seconds (machine-dependent, so only ever reported as
+    a ratio, never gated on). Snapshots live in committed BENCH_<id>.json files. *)
 
 type entry = {
   b_id : string;
@@ -12,6 +12,7 @@ type entry = {
   b_rows : string list list;  (** rendered cells, exactly as the report prints *)
   b_percentiles : Report.pctl list;
       (** the report's latency percentile summaries, gated per metric *)
+  b_notes : string list;  (** the report's notes, gated exactly *)
   b_wall_s : float;  (** wall-clock seconds of the quick run that produced it *)
 }
 
@@ -22,7 +23,7 @@ val to_json : entry list -> string
 val of_json : string -> (entry list, string) result
 (** Parses only the JSON subset {!to_json} emits. A baseline written before
     percentile recording (no ["percentiles"] key) parses with an empty list
-    rather than failing. *)
+    rather than failing; the ["notes"] key is required. *)
 
 type mismatch = {
   m_id : string;
@@ -35,10 +36,11 @@ val compare_entries :
   tolerance:float -> baseline:entry list -> fresh:entry list -> mismatch list
 (** Cell-by-cell diff of every baseline entry against the fresh run with
     the same id. Cells with a numeric prefix and matching unit suffix
-    compare as relative difference against [tolerance]; all other cells
-    must match exactly. Baseline percentile summaries gate the fresh run's
+    compare as relative difference against [tolerance]; all other cells,
+    and every cell when [tolerance = 0.], must match exactly. Baseline percentile summaries gate the fresh run's
     per metric (one mismatch per drifted [label pXX_ms]); a baseline with
-    none recorded gates nothing. Wall-clock is not compared. *)
+    none recorded gates nothing. Notes must match exactly, whatever the
+    tolerance (one ["notes"] mismatch). Wall-clock is not compared. *)
 
 val describe : mismatch -> string
 (** The one-line human rendering: metric name, old and new values, and the

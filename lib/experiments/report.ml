@@ -65,23 +65,7 @@ let to_csv t =
   |> String.concat "\n"
 
 let to_json t =
-  let escape s =
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\r' -> Buffer.add_string b "\\r"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-  in
-  let str s = "\"" ^ escape s ^ "\"" in
+  let str s = "\"" ^ Nkutil.Json.escape s ^ "\"" in
   let arr items = "[" ^ String.concat ", " items ^ "]" in
   let row r = arr (List.map str r) in
   (* Fixed decimals keep the rendering deterministic across runs. *)

@@ -149,19 +149,6 @@ let to_csv t =
     (to_rows t);
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json_float v = Printf.sprintf "%.9g" v
 
 let value_json = function
@@ -195,7 +182,8 @@ let to_json t =
       first := false;
       Buffer.add_string buf
         (Printf.sprintf "{\"component\":\"%s\",\"instance\":\"%s\",\"metric\":\"%s\",%s}"
-           (json_escape e.component) (json_escape e.instance) (json_escape e.metric)
+           (Nkutil.Json.escape e.component) (Nkutil.Json.escape e.instance)
+           (Nkutil.Json.escape e.metric)
            (value_json e.value)))
     (entries t);
   Buffer.add_string buf "\n]}\n";

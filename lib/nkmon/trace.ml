@@ -138,19 +138,6 @@ let event_args = function
   | Custom { component; name; detail } ->
       [ ("component", component); ("name", name); ("detail", detail) ]
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let fmt_time time = Printf.sprintf "%.9f" time
 
 let record_to_json r =
@@ -160,7 +147,7 @@ let record_to_json r =
            (* Numeric fields stay numbers in JSON. *)
            match int_of_string_opt v with
            | Some _ when k <> "op" && k <> "dst" -> Printf.sprintf "\"%s\":%s" k v
-           | _ -> Printf.sprintf "\"%s\":\"%s\"" k (json_escape v))
+           | _ -> Printf.sprintf "\"%s\":\"%s\"" k (Nkutil.Json.escape v))
     |> String.concat ","
   in
   Printf.sprintf "{\"seq\":%d,\"time\":%s,\"type\":\"%s\"%s%s}" r.seq (fmt_time r.time)

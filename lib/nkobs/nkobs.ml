@@ -260,20 +260,6 @@ let to_csv t =
     (to_rows t);
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\"hosts\":[";
@@ -282,7 +268,7 @@ let to_json t =
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
         (Printf.sprintf "{\"host\":\"%s\",\"metrics\":%d,\"dropped_events\":%d}"
-           (json_escape s.s_host)
+           (Nkutil.Json.escape s.s_host)
            (Registry.cardinality (Nkmon.registry s.s_mon))
            (Nkmon.dropped_events s.s_mon)))
     t.srcs;
@@ -297,8 +283,9 @@ let to_json t =
           Buffer.add_string buf
             (Printf.sprintf
                "{\"host\":\"%s\",\"component\":\"%s\",\"instance\":\"%s\",\"metric\":\"%s\",%s}"
-               (json_escape s.s_host) (json_escape e.component) (json_escape e.instance)
-               (json_escape e.metric) (Registry.value_json e.value)))
+               (Nkutil.Json.escape s.s_host) (Nkutil.Json.escape e.component)
+               (Nkutil.Json.escape e.instance) (Nkutil.Json.escape e.metric)
+               (Registry.value_json e.value)))
         (Registry.entries (Nkmon.registry s.s_mon)))
     t.srcs;
   Buffer.add_string buf "\n]}\n";
@@ -365,14 +352,14 @@ let merged_trace_json t =
       let args =
         Trace.event_args r.Trace.event
         |> List.map (fun (k, v) ->
-               Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
+               Printf.sprintf "\"%s\":\"%s\"" (Nkutil.Json.escape k) (Nkutil.Json.escape v))
         |> String.concat ","
       in
       Buffer.add_string buf
         (Printf.sprintf
            "{\"host\":\"%s\",\"seq\":%d,\"time\":%s,\"type\":\"%s\",\"args\":{%s}}"
-           (json_escape host) r.Trace.seq (fmt_time r.Trace.time)
-           (json_escape (Trace.event_type r.Trace.event))
+           (Nkutil.Json.escape host) r.Trace.seq (fmt_time r.Trace.time)
+           (Nkutil.Json.escape (Trace.event_type r.Trace.event))
            args))
     (merged_trace t);
   Buffer.add_string buf "\n],\"dropped\":[";
@@ -380,8 +367,8 @@ let merged_trace_json t =
     (fun i s ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
-        (Printf.sprintf "{\"host\":\"%s\",\"dropped_events\":%d}" (json_escape s.s_host)
-           (Nkmon.dropped_events s.s_mon)))
+        (Printf.sprintf "{\"host\":\"%s\",\"dropped_events\":%d}"
+           (Nkutil.Json.escape s.s_host) (Nkmon.dropped_events s.s_mon)))
     t.srcs;
   Buffer.add_string buf "]}\n";
   Buffer.contents buf

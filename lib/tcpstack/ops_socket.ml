@@ -12,10 +12,8 @@ type entry =
 type state = {
   ops : Stack_ops.t;
   fds : (Socket_api.sock, entry) Hashtbl.t;
-  epolls : (Socket_api.epoll, Socket_api.sock Epoll_core.t) Hashtbl.t;
-  memberships : (Socket_api.sock, Socket_api.epoll list ref) Hashtbl.t;
+  epolls : Epoll_core.t;
   mutable next_fd : int;
-  mutable next_ep : int;
 }
 
 let alloc st entry =
@@ -24,39 +22,30 @@ let alloc st entry =
   Hashtbl.replace st.fds fd entry;
   fd
 
-let notify_epolls st fd =
-  match Hashtbl.find_opt st.memberships fd with
-  | None -> ()
-  | Some eps ->
-      List.iter
-        (fun epid ->
-          match Hashtbl.find_opt st.epolls epid with
-          | None -> ()
-          | Some ep -> Epoll_core.notify ep fd)
-        !eps
-
 let register_conn st conn =
   let fd = alloc st (Cn conn) in
-  st.ops.Stack_ops.set_conn_handler conn (fun _ev -> notify_epolls st fd);
+  st.ops.Stack_ops.set_conn_handler conn (fun _ev -> Epoll_core.notify st.epolls fd);
   fd
 
-let events_of st fd =
-  match Hashtbl.find_opt st.fds fd with
+let events_of ops fds fd =
+  match Hashtbl.find_opt fds fd with
   | None | Some (Fresh _) -> Types.no_events
   | Some (Lst l) ->
       { Types.readable = not (Queue.is_empty l.pending); writable = false; hup = false }
-  | Some (Cn c) -> st.ops.Stack_ops.conn_events c
+  | Some (Cn c) -> ops.Stack_ops.conn_events c
 
-let core_of st fd =
-  match Hashtbl.find_opt st.fds fd with
-  | Some (Cn c) -> st.ops.Stack_ops.conn_core c
-  | Some (Lst _) | Some (Fresh _) | None -> st.ops.Stack_ops.default_core
+let core_of ops fds fd =
+  match Hashtbl.find_opt fds fd with
+  | Some (Cn c) -> ops.Stack_ops.conn_core c
+  | Some (Lst _) | Some (Fresh _) | None -> ops.Stack_ops.default_core
 
 let make ops =
-  let st =
-    { ops; fds = Hashtbl.create 64; epolls = Hashtbl.create 8;
-      memberships = Hashtbl.create 64; next_fd = 3; next_ep = 1 }
+  let fds = Hashtbl.create 64 in
+  let epolls =
+    Epoll_core.create ~engine:ops.Stack_ops.engine ~events_of:(events_of ops fds)
+      ~core_of:(core_of ops fds) ~wake_cycles:ops.Stack_ops.wake_cycles ()
   in
+  let st = { ops; fds; epolls; next_fd = 3 } in
   let find fd = Hashtbl.find_opt st.fds fd in
   let socket () = Ok (alloc st (Fresh { bound = None })) in
   let bind fd addr =
@@ -73,7 +62,7 @@ let make ops =
         let on_accept conn ~peer =
           if Queue.is_empty l.waiters then begin
             Queue.add (conn, peer) l.pending;
-            notify_epolls st fd
+            Epoll_core.notify epolls fd
           end
           else begin
             let k = Queue.pop l.waiters in
@@ -109,7 +98,7 @@ let make ops =
             | Error e -> k (Error e)
             | Ok conn ->
                 Hashtbl.replace st.fds fd (Cn conn);
-                ops.Stack_ops.set_conn_handler conn (fun _ev -> notify_epolls st fd);
+                ops.Stack_ops.set_conn_handler conn (fun _ev -> Epoll_core.notify epolls fd);
                 k (Ok ()))
     | Some (Lst _ | Cn _) | None -> k (Error Types.Einval)
   in
@@ -123,19 +112,6 @@ let make ops =
     | Some (Cn c) -> ops.Stack_ops.recv c ~max ~mode ~k
     | Some (Fresh _ | Lst _) | None -> k (Error Types.Enotconn)
   in
-  let forget fd =
-    Hashtbl.remove st.fds fd;
-    match Hashtbl.find_opt st.memberships fd with
-    | None -> ()
-    | Some eps ->
-        List.iter
-          (fun epid ->
-            match Hashtbl.find_opt st.epolls epid with
-            | None -> ()
-            | Some ep -> Epoll_core.del ep fd)
-          !eps;
-        Hashtbl.remove st.memberships fd
-  in
   let close fd =
     (match find fd with
     | Some (Cn c) -> ops.Stack_ops.close_conn c
@@ -146,45 +122,8 @@ let make ops =
         | Some h -> ops.Stack_ops.close_listener h
         | None -> ())
     | Some (Fresh _) | None -> ());
-    forget fd
-  in
-  let epoll_create () =
-    let epid = st.next_ep in
-    st.next_ep <- st.next_ep + 1;
-    Hashtbl.replace st.epolls epid
-      (Epoll_core.create ~engine:ops.Stack_ops.engine ~cmp:Int.compare
-         ~events_of:(events_of st) ~core_of:(core_of st)
-         ~wake_cycles:ops.Stack_ops.wake_cycles ());
-    epid
-  in
-  let epoll_add epid fd ~mask =
-    match Hashtbl.find_opt st.epolls epid with
-    | None -> ()
-    | Some ep ->
-        Epoll_core.add ep fd ~mask;
-        let eps =
-          match Hashtbl.find_opt st.memberships fd with
-          | Some l -> l
-          | None ->
-              let l = ref [] in
-              Hashtbl.replace st.memberships fd l;
-              l
-        in
-        if not (List.mem epid !eps) then eps := epid :: !eps
-  in
-  let epoll_del epid fd =
-    match Hashtbl.find_opt st.epolls epid with
-    | None -> ()
-    | Some ep ->
-        Epoll_core.del ep fd;
-        (match Hashtbl.find_opt st.memberships fd with
-        | None -> ()
-        | Some eps -> eps := List.filter (fun e -> e <> epid) !eps)
-  in
-  let epoll_wait epid ~timeout ~k =
-    match Hashtbl.find_opt st.epolls epid with
-    | None -> k []
-    | Some ep -> Epoll_core.wait ep ~timeout ~k
+    Hashtbl.remove st.fds fd;
+    Epoll_core.forget epolls fd
   in
   let local_addr fd =
     match find fd with
@@ -206,10 +145,10 @@ let make ops =
     send;
     recv;
     close;
-    epoll_create;
-    epoll_add;
-    epoll_del;
-    epoll_wait;
+    epoll_create = Epoll_core.epoll_create epolls;
+    epoll_add = Epoll_core.epoll_add epolls;
+    epoll_del = Epoll_core.epoll_del epolls;
+    epoll_wait = Epoll_core.epoll_wait epolls;
     local_addr;
     peer_addr;
   }

@@ -4,8 +4,10 @@
     APIs kept intact" (§1): applications are written against it once and run
     unmodified over either the baseline in-VM stack ({!Direct_socket}) or
     NetKernel's GuestLib redirection — the paper's central claim of
-    transparent redirection, expressed in OCaml as two implementations of
-    one interface.
+    transparent redirection, expressed in OCaml as implementations of one
+    interface ({!Direct_socket}, {!Ops_socket} and GuestLib). Every
+    implementation fills the [epoll_*] fields from one {!Epoll_core.t}
+    registry, so event notification cannot drift between them.
 
     All potentially-blocking calls take a continuation; [send]/[recv] are
     non-blocking ([Eagain]) and meant to be driven by [epoll_wait]. *)

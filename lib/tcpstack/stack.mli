@@ -10,8 +10,8 @@
 
     The socket operations are callback-style and non-blocking in spirit:
     [send]/[recv] return [Eagain] rather than waiting, and readiness is
-    delivered through per-socket event handlers consumed by
-    {!Direct_socket}'s epoll emulation or by the NetKernel ServiceLib. *)
+    delivered through per-socket event handlers consumed by the socket
+    layers' {!Epoll_core} registries or by the NetKernel ServiceLib. *)
 
 type t
 

@@ -13,6 +13,7 @@ let () =
       ("coreengine", Test_coreengine.tests);
       ("ce-shards", Test_ce_shards.tests);
       ("stack-units", Test_stack_units.tests);
+      ("epoll", Test_epoll.tests);
       ("determinism", Test_determinism.tests);
       ("netkernel-e2e", Test_netkernel.tests);
       ("nk-faults", Test_nk_faults.tests);

@@ -148,30 +148,6 @@ let agpack_arithmetic () =
   if Float.abs (r.Nktrace.Agpack.core_saving_fraction -. (1.0 -. (16.0 /. 29.0))) > 1e-9
   then Alcotest.fail "saving fraction"
 
-let trace_csv_roundtrip () =
-  let fleet = Nktrace.Traffic.generate_fleet ~seed:3 ~n:4 () in
-  match Nktrace.Trace_io.of_csv (Nktrace.Trace_io.to_csv fleet) with
-  | Error e -> Alcotest.fail e
-  | Ok back ->
-      Alcotest.(check int) "same count" (List.length fleet) (List.length back);
-      List.iter2
-        (fun (a : Nktrace.Traffic.t) (b : Nktrace.Traffic.t) ->
-          Alcotest.(check int) "id" a.Nktrace.Traffic.ag_id b.Nktrace.Traffic.ag_id;
-          Array.iteri
-            (fun i r ->
-              if Float.abs (r -. b.Nktrace.Traffic.rates.(i)) > 0.001 then
-                Alcotest.failf "rate drift at minute %d" i)
-            a.Nktrace.Traffic.rates)
-        fleet back
-
-let trace_csv_malformed () =
-  (match Nktrace.Trace_io.of_csv "ag_id,minute,rps\n1,2\n" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "missing column must fail");
-  match Nktrace.Trace_io.of_csv "ag_id,minute,rps\n1,-3,5.0\n" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "negative minute must fail"
-
 let tests =
   [
     Alcotest.test_case "segment framing" `Quick segment_framing;
@@ -185,6 +161,4 @@ let tests =
     Alcotest.test_case "trace burstiness" `Quick trace_burstiness;
     Alcotest.test_case "trace interpolation" `Quick trace_interpolation;
     Alcotest.test_case "agpack arithmetic" `Quick agpack_arithmetic;
-    Alcotest.test_case "trace csv roundtrip" `Quick trace_csv_roundtrip;
-    Alcotest.test_case "trace csv malformed" `Quick trace_csv_malformed;
   ]

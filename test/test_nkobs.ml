@@ -438,6 +438,47 @@ let spine_stage_reconciles () =
   Alcotest.(check bool) "stage means reconcile with e2e through the spine" true
     (Float.abs (stage_sum -. e2e) <= 1e-9 *. Float.max 1.0 e2e)
 
+(* The slo flight-dump digest lives in the report notes, so BENCH snapshots
+   must carry notes through JSON and gate them exactly. *)
+let bench_notes_gated () =
+  let module B = Experiments.Bench in
+  let report notes =
+    Experiments.Report.make ~id:"slo" ~title:"t" ~headers:[ "h" ] ~notes [ [ "1.0" ] ]
+  in
+  let snap notes = [ B.of_report ~wall_s:1.0 (report notes) ] in
+  let notes = [ "flight dump digest 0123abcd"; "quote \" and \\ and\nnewline" ] in
+  (match B.of_json (B.to_json (snap notes)) with
+  | Ok [ e ] -> Alcotest.(check (list string)) "notes round-trip" notes e.B.b_notes
+  | Ok _ -> Alcotest.fail "expected one entry"
+  | Error msg -> Alcotest.fail msg);
+  Alcotest.(check int) "same notes match" 0
+    (List.length (B.compare_entries ~tolerance:0.0 ~baseline:(snap notes) ~fresh:(snap notes)));
+  match
+    B.compare_entries ~tolerance:1.0 ~baseline:(snap notes)
+      ~fresh:(snap [ "flight dump digest 0123abce"; List.nth notes 1 ])
+  with
+  | [ m ] -> Alcotest.(check string) "drifted digest reported" "notes" m.B.m_where
+  | ms -> Alcotest.failf "expected one notes mismatch, got %d" (List.length ms)
+
+(* A 40-digit sparkline cell parses as one float, so a change past its 17th
+   digit is invisible numerically; the run-vs-run gate (tolerance 0) must
+   compare it as a string. *)
+let bench_tolerance_zero_exact () =
+  let module B = Experiments.Bench in
+  let snap cell =
+    [
+      B.of_report ~wall_s:1.0
+        (Experiments.Report.make ~id:"slo" ~title:"t" ~headers:[ "alerts" ] [ [ cell ] ]);
+    ]
+  in
+  let a = "0111111122222234444444444444444444444444" in
+  let b = String.mapi (fun i c -> if i = 29 then '5' else c) a in
+  (match B.compare_entries ~tolerance:0.0 ~baseline:(snap a) ~fresh:(snap b) with
+  | [ m ] -> Alcotest.(check string) "sparkline drift reported" "row 0, alerts" m.B.m_where
+  | ms -> Alcotest.failf "expected one mismatch at tolerance 0, got %d" (List.length ms));
+  Alcotest.(check int) "identical sparklines match" 0
+    (List.length (B.compare_entries ~tolerance:0.0 ~baseline:(snap a) ~fresh:(snap a)))
+
 let tests =
   [
     Alcotest.test_case "federation: host tags + merged trace" `Quick federation_host_tags;
@@ -450,4 +491,7 @@ let tests =
     Alcotest.test_case "Mon_report surfaces dropped_events" `Quick mon_report_dropped_note;
     Alcotest.test_case "span ids host-unique cluster-wide" `Quick span_ids_host_unique;
     Alcotest.test_case "spine stage reconciles across migration" `Quick spine_stage_reconciles;
+    Alcotest.test_case "bench snapshots gate notes exactly" `Quick bench_notes_gated;
+    Alcotest.test_case "bench tolerance 0 compares cells as strings" `Quick
+      bench_tolerance_zero_exact;
   ]

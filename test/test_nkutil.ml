@@ -296,6 +296,11 @@ let stats_jain () =
   let skew = Nkutil.Stats.jain_fairness [| 9.0; 1.0 |] in
   if skew > 0.62 || skew < 0.60 then Alcotest.failf "jain skew %f" skew
 
+let json_escape () =
+  Alcotest.(check string) "quote, backslash, newline, control byte"
+    "a\\\"b\\\\c\\nd\\u0001e\\u0009f"
+    (Nkutil.Json.escape "a\"b\\c\nd\001e\tf")
+
 let tests =
   [
     Alcotest.test_case "heap sorted pops" `Quick heap_sorted_pops;
@@ -321,4 +326,5 @@ let tests =
     QCheck_alcotest.to_alcotest byte_fifo_qcheck;
     Alcotest.test_case "timeseries bins" `Quick timeseries_bins;
     Alcotest.test_case "jain fairness" `Quick stats_jain;
+    Alcotest.test_case "json escape" `Quick json_escape;
   ]
