@@ -42,50 +42,48 @@ let nk_world ?(vcpus = 1) ?(nsm_cores = 1) ?(kind = `Kernel) () =
 (* send throughput: server VM sends to remote sink *)
 let send_tput name (tb : Testbed.t) sender_api sink_api ~streams ~msg =
   let sink_addr = Addr.make ip_client 5001 in
-  let sink = Result.get_ok (Nkapps.Stream.sink ~engine:tb.engine ~api:sink_api ~addr:sink_addr) in
+  let sink =
+    Tcpstack.Types.get_exn "sink" (Nkapps.Stream.sink ~engine:tb.engine ~api:sink_api ~addr:sink_addr)
+  in
   ignore
-    (Sim.Engine.schedule tb.engine ~delay:1e-3 (fun () ->
-         ignore
-           (Nkapps.Stream.senders ~engine:tb.engine ~api:sender_api ~dst:sink_addr ~streams
-              ~msg_size:msg ~stop:1.0 ())));
+    (Nkapps.Stream.senders ~engine:tb.engine ~api:sender_api ~dst:sink_addr ~streams
+       ~msg_size:msg ~start:(Sim.Engine.now tb.engine +. 1e-3) ~stop:1.0 ());
   Testbed.run tb ~until:1.2;
   Printf.printf "%-40s %6.1f Gbps\n%!" name (Nkapps.Stream.sink_throughput_gbps sink)
 
 (* receive throughput: remote senders to server VM sink *)
 let recv_tput name (tb : Testbed.t) server_api client_api ~streams ~msg =
   let sink_addr = Addr.make ip_server 5001 in
-  let sink = Result.get_ok (Nkapps.Stream.sink ~engine:tb.engine ~api:server_api ~addr:sink_addr) in
+  let sink =
+    Tcpstack.Types.get_exn "sink" (Nkapps.Stream.sink ~engine:tb.engine ~api:server_api ~addr:sink_addr)
+  in
   ignore
-    (Sim.Engine.schedule tb.engine ~delay:1e-3 (fun () ->
-         ignore
-           (Nkapps.Stream.senders ~engine:tb.engine ~api:client_api ~dst:sink_addr ~streams
-              ~msg_size:msg ~stop:1.0 ())));
+    (Nkapps.Stream.senders ~engine:tb.engine ~api:client_api ~dst:sink_addr ~streams
+       ~msg_size:msg ~start:(Sim.Engine.now tb.engine +. 1e-3) ~stop:1.0 ());
   Testbed.run tb ~until:1.2;
   Printf.printf "%-40s %6.1f Gbps\n%!" name (Nkapps.Stream.sink_throughput_gbps sink)
 
 let rps name (tb : Testbed.t) server_api client_api ~conc ~total =
   let addr = Addr.make ip_server 80 in
   let _srv =
-    Result.get_ok
+    Tcpstack.Types.get_exn "epoll server"
       (Nkapps.Epoll_server.start ~engine:tb.engine ~api:server_api
          (Nkapps.Epoll_server.config
             ~proto:(Nkapps.Proto.Fixed { request = 64; response = 64; keepalive = false })
             addr))
   in
-  let lg = ref None in
-  ignore
-    (Sim.Engine.schedule tb.engine ~delay:1e-3 (fun () ->
-         lg :=
-           Some
-             (Nkapps.Loadgen.start ~engine:tb.engine ~api:client_api
-                {
-                  Nkapps.Loadgen.server = addr;
-                  proto = Nkapps.Proto.Fixed { request = 64; response = 64; keepalive = false };
-                  mode = Nkapps.Loadgen.Closed { concurrency = conc; total = Some total; duration = None };
-                  warmup = 0.0;
-                })));
+  let lg =
+    Nkapps.Loadgen.start ~engine:tb.engine ~api:client_api
+      ~start:(Sim.Engine.now tb.engine +. 1e-3)
+      {
+        Nkapps.Loadgen.server = addr;
+        proto = Nkapps.Proto.Fixed { request = 64; response = 64; keepalive = false };
+        mode = Nkapps.Loadgen.Closed { concurrency = conc; total = Some total; duration = None };
+        warmup = 0.0;
+      }
+  in
   Testbed.run tb ~until:60.0;
-  let r = Nkapps.Loadgen.results (Option.get !lg) in
+  let r = Nkapps.Loadgen.results lg in
   Printf.printf "%-40s %8.0f rps  (errors %d, mean lat %.2f ms)\n%!" name
     r.Nkapps.Loadgen.rps r.Nkapps.Loadgen.errors
     (Nkutil.Histogram.mean r.Nkapps.Loadgen.latency *. 1e3)

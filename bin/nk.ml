@@ -168,22 +168,20 @@ let demo_cmd =
         ~profile:Sim.Cost_profile.ideal ()
     in
     let addr = Addr.make 10 6379 in
-    (match Nkapps.Kvstore.start ~engine:tb.Testbed.engine ~api:(Vm.api vm) ~addr with
-    | Ok _ -> ()
-    | Error e -> failwith (Tcpstack.Types.err_to_string e));
+    ignore
+      (Tcpstack.Types.get_exn "kv server"
+         (Nkapps.Kvstore.start ~engine:tb.Testbed.engine ~api:(Vm.api vm) ~addr));
     Nkapps.Kvstore.Client.connect ~engine:tb.Testbed.engine ~api:(Vm.api client) addr
       ~k:(fun r ->
-        match r with
-        | Error e -> failwith (Tcpstack.Types.err_to_string e)
-        | Ok conn ->
-            Nkapps.Kvstore.Client.set conn ~key:"stack" ~value:"operated by the cloud"
-              ~k:(fun _ ->
-                Nkapps.Kvstore.Client.get conn ~key:"stack" ~k:(fun r ->
-                    (match r with
-                    | Ok (Some v) -> Printf.printf "GET stack -> %S\n" v
-                    | Ok None -> print_endline "GET stack -> (nil)"
-                    | Error e -> Printf.printf "error: %s\n" e);
-                    Nkapps.Kvstore.Client.close conn)));
+        let conn = Tcpstack.Types.get_exn "connect" r in
+        Nkapps.Kvstore.Client.set conn ~key:"stack" ~value:"operated by the cloud"
+          ~k:(fun _ ->
+            Nkapps.Kvstore.Client.get conn ~key:"stack" ~k:(fun r ->
+                (match r with
+                | Ok (Some v) -> Printf.printf "GET stack -> %S\n" v
+                | Ok None -> print_endline "GET stack -> (nil)"
+                | Error e -> Printf.printf "error: %s\n" e);
+                Nkapps.Kvstore.Client.close conn)));
     Testbed.run tb ~until:1.0;
     print_endline "demo complete: redis-like app served through NetKernel"
   in
@@ -232,12 +230,10 @@ let observed_cluster ~trace ~seed =
   List.iteri
     (fun i vm ->
       let addr = Addr.make (10 + i) 80 in
-      (match
-         Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
-           (Nkapps.Epoll_server.config ~proto addr)
-       with
-      | Ok _ -> ()
-      | Error e -> failwith (Tcpstack.Types.err_to_string e));
+      ignore
+        (Tcpstack.Types.get_exn "epoll server"
+           (Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
+              (Nkapps.Epoll_server.config ~proto addr)));
       ignore
         (Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
            {
@@ -457,6 +453,34 @@ let profile_cmd =
           per-(component, stage) self-cycles table")
     Term.(const run $ quick $ collapsed $ world_config_term)
 
+(* The dataplane floods the trace ring, so sweep the Custom events [keep]
+   selects (by component and name) out of it every 100 ms instead of reading
+   it only at the end. The returned function takes a last sweep and yields
+   the kept [(time, component, name, detail)] events in order. *)
+let sweep_custom (tb : Nkcore.Testbed.t) ~keep =
+  let log = ref [] in
+  let last_seq = ref (-1) in
+  let sweep () =
+    List.iter
+      (fun (r : Nkmon.Trace.record) ->
+        if r.Nkmon.Trace.seq > !last_seq then begin
+          last_seq := r.Nkmon.Trace.seq;
+          match r.Nkmon.Trace.event with
+          | Nkmon.Trace.Custom { component; name; detail } when keep component name ->
+              log := (r.Nkmon.Trace.time, component, name, detail) :: !log
+          | _ -> ()
+        end)
+      (Nkmon.Trace.records (Nkmon.trace tb.Nkcore.Testbed.mon))
+  in
+  let rec sweeper () =
+    sweep ();
+    ignore (Sim.Engine.schedule tb.Nkcore.Testbed.engine ~delay:0.1 sweeper)
+  in
+  sweeper ();
+  fun () ->
+    sweep ();
+    List.rev !log
+
 let orchestrate_cmd =
   (* The control plane live: two NetKernel VMs under closed-loop load, the
      Nkctl autoscaler ticking, one NSM crash injected mid-run. Prints the
@@ -505,12 +529,10 @@ let orchestrate_cmd =
           in
           Nkctl.add_vm ctl vm ~home:nsm0;
           let addr = Addr.make (10 + i) 80 in
-          (match
-             Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
-               (Nkapps.Epoll_server.config ~proto addr)
-           with
-          | Ok _ -> ()
-          | Error e -> failwith (Tcpstack.Types.err_to_string e));
+          ignore
+            (Tcpstack.Types.get_exn "epoll server"
+               (Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
+                  (Nkapps.Epoll_server.config ~proto addr)));
           Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
             {
               Nkapps.Loadgen.server = addr;
@@ -529,38 +551,19 @@ let orchestrate_cmd =
              match Nkctl.active_nsms ctl with
              | nsm :: _ -> Nsm.fail nsm
              | [] -> ()));
-    (* The dataplane floods the trace ring, so sweep the control-plane
-       events out of it periodically instead of reading it only at the end. *)
-    let ctl_log = ref [] in
-    let last_seq = ref (-1) in
-    let sweep () =
-      List.iter
-        (fun (r : Nkmon.Trace.record) ->
-          if r.Nkmon.Trace.seq > !last_seq then begin
-            last_seq := r.Nkmon.Trace.seq;
-            match r.Nkmon.Trace.event with
-            | Nkmon.Trace.Custom
-                { component = ("nkctl" | "coreengine") as c; name; detail }
-              when c = "nkctl"
-                   || List.mem name [ "drain"; "undrain"; "deregister_nsm"; "crash_nsm" ]
-              -> ctl_log := (r.Nkmon.Trace.time, c, name, detail) :: !ctl_log
-            | _ -> ()
-          end)
-        (Nkmon.Trace.records (Nkmon.trace tb.Testbed.mon))
+    let ctl_log =
+      sweep_custom tb ~keep:(fun c name ->
+          c = "nkctl"
+          || (c = "coreengine"
+             && List.mem name [ "drain"; "undrain"; "deregister_nsm"; "crash_nsm" ]))
     in
-    let rec sweeper () =
-      sweep ();
-      ignore (Sim.Engine.schedule tb.Testbed.engine ~delay:0.1 sweeper)
-    in
-    sweeper ();
     Testbed.run tb ~until:(duration +. 0.5);
     Nkctl.stop ctl;
-    sweep ();
     print_endline "control events (virtual time):";
     List.iter
       (fun (time, c, name, detail) ->
         Printf.printf "  %8.3fs  %-10s %-12s %s\n" time c name detail)
-      (List.rev !ctl_log);
+      (ctl_log ());
     let completed, errors =
       List.fold_left
         (fun (c, e) lg ->
@@ -634,12 +637,10 @@ let cluster_cmd =
       List.mapi
         (fun i vm ->
           let addr = Addr.make (10 + i) 80 in
-          (match
-             Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
-               (Nkapps.Epoll_server.config ~proto addr)
-           with
-          | Ok _ -> ()
-          | Error e -> failwith (Tcpstack.Types.err_to_string e));
+          ignore
+            (Tcpstack.Types.get_exn "epoll server"
+               (Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
+                  (Nkapps.Epoll_server.config ~proto addr)));
           Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
             {
               Nkapps.Loadgen.server = addr;
@@ -658,33 +659,12 @@ let cluster_cmd =
              ignore
                (Sim.Engine.schedule tb.Testbed.engine ~delay:migrate_at (fun () ->
                     ignore (Nkfabric.migrate_nsm cluster ~nsm:dest ~dst:nodea ())))));
-    (* Sweep fabric events out of the trace ring before the dataplane floods
-       it (same trick as orchestrate). *)
-    let ev_log = ref [] in
-    let last_seq = ref (-1) in
-    let sweep () =
-      List.iter
-        (fun (r : Nkmon.Trace.record) ->
-          if r.Nkmon.Trace.seq > !last_seq then begin
-            last_seq := r.Nkmon.Trace.seq;
-            match r.Nkmon.Trace.event with
-            | Nkmon.Trace.Custom { component = "nkfabric"; name; detail } ->
-                ev_log := (r.Nkmon.Trace.time, name, detail) :: !ev_log
-            | _ -> ()
-          end)
-        (Nkmon.Trace.records (Nkmon.trace tb.Testbed.mon))
-    in
-    let rec sweeper () =
-      sweep ();
-      ignore (Sim.Engine.schedule tb.Testbed.engine ~delay:0.1 sweeper)
-    in
-    sweeper ();
+    let ev_log = sweep_custom tb ~keep:(fun c _ -> c = "nkfabric") in
     Testbed.run tb ~until:(duration +. 0.5);
-    sweep ();
     print_endline "fabric events (virtual time):";
     List.iter
-      (fun (time, name, detail) -> Printf.printf "  %8.3fs  %-8s %s\n" time name detail)
-      (List.rev !ev_log);
+      (fun (time, _, name, detail) -> Printf.printf "  %8.3fs  %-8s %s\n" time name detail)
+      (ev_log ());
     let completed, errors =
       List.fold_left
         (fun (c, e) lg ->

@@ -24,22 +24,18 @@ let run ~label ~mk_vm =
       ~profile:Sim.Cost_profile.ideal ()
   in
   let sink port =
-    match
-      Nkapps.Stream.sink ~engine:tb.Testbed.engine ~api:(Vm.api client)
-        ~addr:(Addr.make 20 port)
-    with
-    | Ok s -> s
-    | Error e -> failwith (T.Types.err_to_string e)
+    T.Types.get_exn "sink"
+      (Nkapps.Stream.sink ~engine:tb.Testbed.engine ~api:(Vm.api client)
+         ~addr:(Addr.make 20 port))
   in
   let s1 = sink 5001 and s2 = sink 5002 in
+  let start = Sim.Engine.now tb.Testbed.engine +. 1e-3 in
   ignore
-    (Sim.Engine.schedule tb.Testbed.engine ~delay:1e-3 (fun () ->
-         ignore
-           (Nkapps.Stream.senders ~engine:tb.Testbed.engine ~api:(Vm.api vm1)
-              ~dst:(Addr.make 20 5001) ~streams:8 ~msg_size:16384 ~stop:2.0 ());
-         ignore
-           (Nkapps.Stream.senders ~engine:tb.Testbed.engine ~api:(Vm.api vm2)
-              ~dst:(Addr.make 20 5002) ~streams:16 ~msg_size:16384 ~stop:2.0 ())));
+    (Nkapps.Stream.senders ~engine:tb.Testbed.engine ~api:(Vm.api vm1)
+       ~dst:(Addr.make 20 5001) ~streams:8 ~msg_size:16384 ~start ~stop:2.0 ());
+  ignore
+    (Nkapps.Stream.senders ~engine:tb.Testbed.engine ~api:(Vm.api vm2)
+       ~dst:(Addr.make 20 5002) ~streams:16 ~msg_size:16384 ~start ~stop:2.0 ());
   Testbed.run tb ~until:2.1;
   let g1 = Nkapps.Stream.sink_throughput_gbps s1 in
   let g2 = Nkapps.Stream.sink_throughput_gbps s2 in

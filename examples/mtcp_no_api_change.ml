@@ -29,29 +29,23 @@ let run_with ~nsm_kind =
   in
   (* Tenant side: the same unmodified "nginx". *)
   let addr = Addr.make 10 80 in
-  (match
-     Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
-       (Nkapps.Epoll_server.config ~proto addr)
-   with
-  | Ok _ -> ()
-  | Error e -> failwith (Tcpstack.Types.err_to_string e));
-  (* The same unmodified "ab". *)
-  let lg = ref None in
   ignore
-    (Sim.Engine.schedule tb.Testbed.engine ~delay:1e-3 (fun () ->
-         lg :=
-           Some
-             (Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
-                {
-                  Nkapps.Loadgen.server = addr;
-                  proto;
-                  mode =
-                    Nkapps.Loadgen.Closed
-                      { concurrency = 100; total = Some 30_000; duration = None };
-                  warmup = 0.0;
-                })));
+    (Tcpstack.Types.get_exn "epoll server"
+       (Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
+          (Nkapps.Epoll_server.config ~proto addr)));
+  (* The same unmodified "ab". *)
+  let lg =
+    Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
+      ~start:(Sim.Engine.now tb.Testbed.engine +. 1e-3)
+      {
+        Nkapps.Loadgen.server = addr;
+        proto;
+        mode = Nkapps.Loadgen.Closed { concurrency = 100; total = Some 30_000; duration = None };
+        warmup = 0.0;
+      }
+  in
   Testbed.run tb ~until:30.0;
-  Nkapps.Loadgen.results (Option.get !lg)
+  Nkapps.Loadgen.results lg
 
 let () =
   print_endline "running unmodified nginx+ab over the kernel-stack NSM...";

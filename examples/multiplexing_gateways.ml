@@ -28,44 +28,33 @@ let replay ~label ~cores_used ~mk_vm =
       (fun i (trace : Nktrace.Traffic.t) ->
         let vm = mk_vm host_a i in
         let addr = Addr.make (10 + i) 80 in
-        (match
-           Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
-             (Nkapps.Epoll_server.config ~proto ~app_cycles:30_000.0
-                ~app_cores:(Vm.cores vm) addr)
-         with
-        | Ok _ -> ()
-        | Error e -> failwith (Tcpstack.Types.err_to_string e));
-        let lg = ref None in
         ignore
-          (Sim.Engine.schedule tb.Testbed.engine ~delay:1e-3 (fun () ->
-               lg :=
-                 Some
-                   (Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
-                      {
-                        Nkapps.Loadgen.server = addr;
-                        proto;
-                        mode =
-                          Nkapps.Loadgen.Open
-                            {
-                              (* one trace minute per second, half rate *)
-                              rate_at =
-                                (fun t -> 0.5 *. Nktrace.Traffic.rate_at trace (t *. 60.0));
-                              duration;
-                            };
-                        warmup = 0.0;
-                      })));
-        lg)
+          (Tcpstack.Types.get_exn "epoll server"
+             (Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
+                (Nkapps.Epoll_server.config ~proto ~app_cycles:30_000.0
+                   ~app_cores:(Vm.cores vm) addr)));
+        Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
+          ~start:(Sim.Engine.now tb.Testbed.engine +. 1e-3)
+          {
+            Nkapps.Loadgen.server = addr;
+            proto;
+            mode =
+              Nkapps.Loadgen.Open
+                {
+                  (* one trace minute per second, half rate *)
+                  rate_at = (fun t -> 0.5 *. Nktrace.Traffic.rate_at trace (t *. 60.0));
+                  duration;
+                };
+            warmup = 0.0;
+          })
       traces
   in
   Testbed.run tb ~until:(duration +. 0.5);
   let served, errors =
     List.fold_left
       (fun (c, e) lg ->
-        match !lg with
-        | None -> (c, e)
-        | Some lg ->
-            let r = Nkapps.Loadgen.results lg in
-            (c + r.Nkapps.Loadgen.completed, e + r.Nkapps.Loadgen.errors))
+        let r = Nkapps.Loadgen.results lg in
+        (c + r.Nkapps.Loadgen.completed, e + r.Nkapps.Loadgen.errors))
       (0, 0) lgs
   in
   Printf.printf "%-44s cores=%2d served=%6d errors=%d per-core=%5.0f rps\n%!" label

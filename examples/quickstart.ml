@@ -16,7 +16,7 @@ open Nkcore
 module Types = Tcpstack.Types
 module Api = Tcpstack.Socket_api
 
-let ( >>= ) r f = match r with Ok v -> f v | Error e -> failwith (Types.err_to_string e)
+let ( >>= ) r f = f (Types.get_exn "socket call" r)
 
 let () =
   (* Infrastructure (operator side). *)
@@ -68,23 +68,21 @@ let () =
   let client_api = Vm.api client in
   client_api.Api.socket () >>= fun fd ->
   client_api.Api.connect fd addr ~k:(fun r ->
-      match r with
-      | Error e -> failwith (Types.err_to_string e)
-      | Ok () ->
-          Printf.printf "[client] connected through the NSM\n";
-          client_api.Api.send fd (Types.Data "hello, netkernel!") ~k:(fun _ ->
-              let rec await () =
-                client_api.Api.recv fd ~max:4096 ~mode:`Copy ~k:(fun r ->
-                    match r with
-                    | Ok (Types.Data s) when s <> "" ->
-                        Printf.printf "[client] got echo: %S\n" s;
-                        client_api.Api.close fd
-                    | Ok _ -> await ()
-                    | Error Types.Eagain ->
-                        ignore (Sim.Engine.schedule tb.Testbed.engine ~delay:20e-6 await)
-                    | Error e -> failwith (Types.err_to_string e))
-              in
-              await ()));
+      Types.get_exn "connect" r;
+      Printf.printf "[client] connected through the NSM\n";
+      client_api.Api.send fd (Types.Data "hello, netkernel!") ~k:(fun _ ->
+          let rec await () =
+            client_api.Api.recv fd ~max:4096 ~mode:`Copy ~k:(fun r ->
+                match r with
+                | Ok (Types.Data s) when s <> "" ->
+                    Printf.printf "[client] got echo: %S\n" s;
+                    client_api.Api.close fd
+                | Ok _ -> await ()
+                | Error Types.Eagain ->
+                    ignore (Sim.Engine.schedule tb.Testbed.engine ~delay:20e-6 await)
+                | Error e -> failwith (Types.err_to_string e))
+          in
+          await ()));
 
   Testbed.run tb ~until:1.0;
   let gl = Option.get (Vm.guestlib vm) in

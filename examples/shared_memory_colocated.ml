@@ -13,18 +13,15 @@ let transfer ~label ~mk_vms =
   let host = Testbed.add_host tb ~name:"hostA" in
   let vm1, vm2 = mk_vms host in
   let sink =
-    match
-      Nkapps.Stream.sink ~engine:tb.Testbed.engine ~api:(Vm.api vm2)
-        ~addr:(Addr.make 11 9000)
-    with
-    | Ok s -> s
-    | Error e -> failwith (Tcpstack.Types.err_to_string e)
+    Tcpstack.Types.get_exn "sink"
+      (Nkapps.Stream.sink ~engine:tb.Testbed.engine ~api:(Vm.api vm2)
+         ~addr:(Addr.make 11 9000))
   in
   ignore
-    (Sim.Engine.schedule tb.Testbed.engine ~delay:1e-3 (fun () ->
-         ignore
-           (Nkapps.Stream.senders ~engine:tb.Testbed.engine ~api:(Vm.api vm1)
-              ~dst:(Addr.make 11 9000) ~streams:8 ~msg_size:65536 ~stop:1.0 ())));
+    (Nkapps.Stream.senders ~engine:tb.Testbed.engine ~api:(Vm.api vm1)
+       ~dst:(Addr.make 11 9000) ~streams:8 ~msg_size:65536
+       ~start:(Sim.Engine.now tb.Testbed.engine +. 1e-3)
+       ~stop:1.0 ());
   Testbed.run tb ~until:1.1;
   let gbps = Nkapps.Stream.sink_throughput_gbps sink in
   Printf.printf "%-34s %6.1f Gb/s\n%!" label gbps;

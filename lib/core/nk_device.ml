@@ -71,8 +71,6 @@ let set_kick_ce t f = t.kick_ce <- Some f
 
 let set_kick_owner t f = t.kick_owner <- Some f
 
-let kick_owner t i = match t.kick_owner with None -> () | Some f -> f i
-
 let wake_thunk t ~qset = t.wake_thunks.(qset)
 
 let wake_armed_at t ~qset = t.wake_armed_at.(qset)

@@ -46,10 +46,8 @@ val set_kick_ce : t -> (int -> unit) -> unit
 val set_kick_owner : t -> (int -> unit) -> unit
 (** Installed by GuestLib / ServiceLib; argument is the queue-set index. *)
 
-val kick_owner : t -> int -> unit
-
 val wake_thunk : t -> qset:int -> unit -> unit
-(** Preallocated [fun () -> kick_owner t qset] — the callback CoreEngine
+(** Preallocated owner kick for queue set [qset] — the callback CoreEngine
     arms as a delayed owner wake. Shared so the per-delivery wake path
     does not allocate a closure. *)
 

@@ -36,9 +36,6 @@ let busy_cycles t = Cpu.Set.total_busy_cycles t.cores
 
 let guestlib t = match t.backend with Nk { guestlib; _ } -> Some guestlib | Baseline _ -> None
 
-let baseline_stack t =
-  match t.backend with Baseline stack -> Some stack | Nk _ -> None
-
 let hugepages t =
   match t.backend with Nk { hugepages; _ } -> Some hugepages | Baseline _ -> None
 

@@ -63,8 +63,6 @@ val busy_cycles : t -> float
 
 val guestlib : t -> Guestlib.t option
 
-val baseline_stack : t -> Tcpstack.Stack.t option
-
 val hugepages : t -> Hugepages.t option
 
 val device : t -> Nk_device.t option

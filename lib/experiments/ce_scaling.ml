@@ -36,40 +36,24 @@ let run_point ~ce_cores ~total_per_tenant =
             ~vcpus:1 ~ips:[ 10 + i ] ~nsms:[ nsm ] ()
         in
         let addr = Addr.make (10 + i) 80 in
-        (match
-           Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
-             (Nkapps.Epoll_server.config ~proto addr)
-         with
-        | Ok _ -> ()
-        | Error e -> failwith (Types.err_to_string e));
-        let lg = ref None in
         ignore
-          (Sim.Engine.schedule tb.Testbed.engine ~delay:1e-3 (fun () ->
-               lg :=
-                 Some
-                   (Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
-                      {
-                        Nkapps.Loadgen.server = addr;
-                        proto;
-                        mode =
-                          Nkapps.Loadgen.Closed
-                            {
-                              concurrency = 64;
-                              total = Some total_per_tenant;
-                              duration = None;
-                            };
-                        warmup = 0.0;
-                      })));
-        lg)
+          (Types.get_exn "epoll server"
+             (Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
+                (Nkapps.Epoll_server.config ~proto addr)));
+        Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
+          ~start:(Sim.Engine.now tb.Testbed.engine +. 1e-3)
+          {
+            Nkapps.Loadgen.server = addr;
+            proto;
+            mode =
+              Nkapps.Loadgen.Closed
+                { concurrency = 64; total = Some total_per_tenant; duration = None };
+            warmup = 0.0;
+          })
   in
   Testbed.run tb ~until:120.0;
   let rps =
-    List.fold_left
-      (fun acc lg ->
-        match !lg with
-        | None -> failwith "loadgen never started"
-        | Some lg -> acc +. (Nkapps.Loadgen.results lg).Nkapps.Loadgen.rps)
-      0.0 lgs
+    List.fold_left (fun acc lg -> acc +. (Nkapps.Loadgen.results lg).Nkapps.Loadgen.rps) 0.0 lgs
   in
   let shard_cycles = Array.map Sim.Cpu.busy_cycles (Host.ce_cores server_host) in
   let total_cycles = Array.fold_left ( +. ) 0.0 shard_cycles in

@@ -98,33 +98,24 @@ let run ?(quick = false) () =
       (fun i (trace : Nktrace.Traffic.t) ->
         let vm = List.nth vms i in
         let addr = Addr.make (10 + i) 80 in
-        (match
-           Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
-             (Nkapps.Epoll_server.config ~proto addr)
-         with
-        | Ok _ -> ()
-        | Error e -> failwith (Tcpstack.Types.err_to_string e));
-        let lg = ref None in
         ignore
-          (Sim.Engine.schedule tb.Testbed.engine ~delay:1e-3 (fun () ->
-               lg :=
-                 Some
-                   (Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
-                      {
-                        Nkapps.Loadgen.server = addr;
-                        proto;
-                        mode =
-                          Nkapps.Loadgen.Open
-                            {
-                              rate_at =
-                                (fun t ->
-                                  rate_scale
-                                  *. Nktrace.Traffic.rate_at trace (t *. time_compress));
-                              duration;
-                            };
-                        warmup = 0.0;
-                      })));
-        lg)
+          (Tcpstack.Types.get_exn "epoll server"
+             (Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
+                (Nkapps.Epoll_server.config ~proto addr)));
+        Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
+          ~start:(Sim.Engine.now tb.Testbed.engine +. 1e-3)
+          {
+            Nkapps.Loadgen.server = addr;
+            proto;
+            mode =
+              Nkapps.Loadgen.Open
+                {
+                  rate_at =
+                    (fun t -> rate_scale *. Nktrace.Traffic.rate_at trace (t *. time_compress));
+                  duration;
+                };
+            warmup = 0.0;
+          })
       traces
   in
   Nkctl.start ctl;
@@ -133,11 +124,8 @@ let run ?(quick = false) () =
   let completed, errors =
     List.fold_left
       (fun (c, e) lg ->
-        match !lg with
-        | None -> (c, e)
-        | Some lg ->
-            let r = Nkapps.Loadgen.results lg in
-            (c + r.Nkapps.Loadgen.completed, e + r.Nkapps.Loadgen.errors))
+        let r = Nkapps.Loadgen.results lg in
+        (c + r.Nkapps.Loadgen.completed, e + r.Nkapps.Loadgen.errors))
       (0, 0) lgs
   in
   let samples = Nkctl.samples ctl in

@@ -43,23 +43,19 @@ let run_pair ~system ~selfish_flows ~duration =
       ~profile:Sim.Cost_profile.ideal ()
   in
   let sink port =
-    match
-      Nkapps.Stream.sink ~engine:tb.Testbed.engine ~api:(Vm.api client)
-        ~addr:(Addr.make 20 port)
-    with
-    | Ok s -> s
-    | Error e -> failwith (T.Types.err_to_string e)
+    T.Types.get_exn "sink"
+      (Nkapps.Stream.sink ~engine:tb.Testbed.engine ~api:(Vm.api client)
+         ~addr:(Addr.make 20 port))
   in
   let s1 = sink 5001 and s2 = sink 5002 in
+  let start = Sim.Engine.now tb.Testbed.engine +. 1e-3 in
   ignore
-    (Sim.Engine.schedule tb.Testbed.engine ~delay:1e-3 (fun () ->
-         ignore
-           (Nkapps.Stream.senders ~engine:tb.Testbed.engine ~api:(Vm.api vm1)
-              ~dst:(Addr.make 20 5001) ~streams:8 ~msg_size:16384 ~stop:duration ());
-         ignore
-           (Nkapps.Stream.senders ~engine:tb.Testbed.engine ~api:(Vm.api vm2)
-              ~dst:(Addr.make 20 5002) ~streams:selfish_flows ~msg_size:16384
-              ~stop:duration ())));
+    (Nkapps.Stream.senders ~engine:tb.Testbed.engine ~api:(Vm.api vm1)
+       ~dst:(Addr.make 20 5001) ~streams:8 ~msg_size:16384 ~start ~stop:duration ());
+  ignore
+    (Nkapps.Stream.senders ~engine:tb.Testbed.engine ~api:(Vm.api vm2)
+       ~dst:(Addr.make 20 5002) ~streams:selfish_flows ~msg_size:16384 ~start
+       ~stop:duration ());
   Testbed.run tb ~until:(duration +. 0.1);
   (* Measure the steady second half of the run, past slow-start convergence. *)
   let steady sink =

@@ -25,18 +25,15 @@ let run_one ~system ~duration =
           Vm.create_nk host ~name:"vm2" ~vcpus:2 ~ips:[ 11 ] ~nsms:[ nsm ] () )
   in
   let sink =
-    match
-      Nkapps.Stream.sink ~engine:tb.Testbed.engine ~api:(Vm.api vm2)
-        ~addr:(Addr.make 11 5001)
-    with
-    | Ok s -> s
-    | Error e -> failwith (Tcpstack.Types.err_to_string e)
+    Tcpstack.Types.get_exn "sink"
+      (Nkapps.Stream.sink ~engine:tb.Testbed.engine ~api:(Vm.api vm2)
+         ~addr:(Addr.make 11 5001))
   in
   ignore
-    (Sim.Engine.schedule tb.Testbed.engine ~delay:1e-3 (fun () ->
-         ignore
-           (Nkapps.Stream.senders ~engine:tb.Testbed.engine ~api:(Vm.api vm1)
-              ~dst:(Addr.make 11 5001) ~streams:8 ~msg_size:65536 ~stop:duration ())));
+    (Nkapps.Stream.senders ~engine:tb.Testbed.engine ~api:(Vm.api vm1)
+       ~dst:(Addr.make 11 5001) ~streams:8 ~msg_size:65536
+       ~start:(Sim.Engine.now tb.Testbed.engine +. 1e-3)
+       ~stop:duration ());
   Testbed.run tb ~until:(duration +. 0.1);
   Nkapps.Stream.sink_throughput_gbps sink
 

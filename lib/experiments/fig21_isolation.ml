@@ -35,12 +35,9 @@ let run ?(quick = false) () =
   let sinks =
     List.mapi
       (fun i _vm ->
-        match
-          Nkapps.Stream.sink ~engine:tb.Testbed.engine ~api:(Vm.api client)
-            ~addr:(Addr.make 20 (5001 + i))
-        with
-        | Ok s -> s
-        | Error e -> failwith (Tcpstack.Types.err_to_string e))
+        Tcpstack.Types.get_exn "sink"
+          (Nkapps.Stream.sink ~engine:tb.Testbed.engine ~api:(Vm.api client)
+             ~addr:(Addr.make 20 (5001 + i))))
       vms
   in
   let windows = [ (0.0, 25.0); (4.5, 21.0); (8.0, 30.0) ] in

@@ -76,27 +76,20 @@ let run ?(quick = false) () =
     List.mapi
       (fun i vm ->
         let addr = Addr.make (10 + i) 80 in
-        (match
-           Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
-             (Nkapps.Epoll_server.config ~proto addr)
-         with
-        | Ok _ -> ()
-        | Error e -> failwith (Tcpstack.Types.err_to_string e));
-        let lg = ref None in
         ignore
-          (Sim.Engine.schedule tb.Testbed.engine ~delay:1e-3 (fun () ->
-               lg :=
-                 Some
-                   (Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
-                      {
-                        Nkapps.Loadgen.server = addr;
-                        proto;
-                        mode =
-                          Nkapps.Loadgen.Closed
-                            { concurrency = 8; total = None; duration = Some (duration -. 0.5) };
-                        warmup = 0.0;
-                      })));
-        lg)
+          (Tcpstack.Types.get_exn "epoll server"
+             (Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
+                (Nkapps.Epoll_server.config ~proto addr)));
+        Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
+          ~start:(Sim.Engine.now tb.Testbed.engine +. 1e-3)
+          {
+            Nkapps.Loadgen.server = addr;
+            proto;
+            mode =
+              Nkapps.Loadgen.Closed
+                { concurrency = 8; total = None; duration = Some (duration -. 0.5) };
+            warmup = 0.0;
+          })
       vms
   in
   let migration_times = ref [] in
@@ -157,11 +150,8 @@ let run ?(quick = false) () =
   let completed, errors =
     List.fold_left
       (fun (c, e) lg ->
-        match !lg with
-        | None -> (c, e)
-        | Some lg ->
-            let r = Nkapps.Loadgen.results lg in
-            (c + r.Nkapps.Loadgen.completed, e + r.Nkapps.Loadgen.errors))
+        let r = Nkapps.Loadgen.results lg in
+        (c + r.Nkapps.Loadgen.completed, e + r.Nkapps.Loadgen.errors))
       (0, 0) lgs
   in
   let samples = List.rev !samples in

@@ -108,54 +108,43 @@ let run ?(quick = false) () =
      the windowed p99 recover. *)
   let gold_proto = Nkapps.Proto.Fixed { request = 128; response = 1024; keepalive = false } in
   let gold_addr = Addr.make 10 80 in
-  (match
-     Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api gold)
-       (Nkapps.Epoll_server.config ~proto:gold_proto gold_addr)
-   with
-  | Ok _ -> ()
-  | Error e -> failwith (Tcpstack.Types.err_to_string e));
-  let gold_lg = ref None in
   ignore
-    (Sim.Engine.schedule tb.Testbed.engine ~delay:1e-3 (fun () ->
-         gold_lg :=
-           Some
-             (Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
-                {
-                  Nkapps.Loadgen.server = gold_addr;
-                  proto = gold_proto;
-                  mode =
-                    Nkapps.Loadgen.Closed
-                      { concurrency = 2; total = None; duration = Some (duration -. 0.5) };
-                  warmup = 0.0;
-                })));
+    (Tcpstack.Types.get_exn "epoll server"
+       (Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api gold)
+          (Nkapps.Epoll_server.config ~proto:gold_proto gold_addr)));
+  let gold_lg =
+    Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
+      ~start:(Sim.Engine.now tb.Testbed.engine +. 1e-3)
+      {
+        Nkapps.Loadgen.server = gold_addr;
+        proto = gold_proto;
+        mode =
+          Nkapps.Loadgen.Closed
+            { concurrency = 2; total = None; duration = Some (duration -. 0.5) };
+        warmup = 0.0;
+      }
+  in
   (* Noisy neighbours: keep-alive closed loops pinned to the shared NSM
      (established connections never move), ramped up mid-run. *)
   let noisy_proto = Nkapps.Proto.Fixed { request = 256; response = 16384; keepalive = true } in
   List.iteri
     (fun i vm ->
       let addr = Addr.make (11 + i) 80 in
-      (match
-         Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
-           (Nkapps.Epoll_server.config ~proto:noisy_proto addr)
-       with
-      | Ok _ -> ()
-      | Error e -> failwith (Tcpstack.Types.err_to_string e));
       ignore
-        (Sim.Engine.schedule tb.Testbed.engine ~delay:ramp_at (fun () ->
-             ignore
-               (Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
-                  {
-                    Nkapps.Loadgen.server = addr;
-                    proto = noisy_proto;
-                    mode =
-                      Nkapps.Loadgen.Closed
-                        {
-                          concurrency = 32;
-                          total = None;
-                          duration = Some (duration -. 0.5 -. ramp_at);
-                        };
-                    warmup = 0.0;
-                  }))))
+        (Tcpstack.Types.get_exn "epoll server"
+           (Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
+              (Nkapps.Epoll_server.config ~proto:noisy_proto addr)));
+      ignore
+        (Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
+           ~start:(Sim.Engine.now tb.Testbed.engine +. ramp_at)
+           {
+             Nkapps.Loadgen.server = addr;
+             proto = noisy_proto;
+             mode =
+               Nkapps.Loadgen.Closed
+                 { concurrency = 32; total = None; duration = Some (duration -. 0.5 -. ramp_at) };
+             warmup = 0.0;
+           }))
     noisy;
   (* The observability plane: federate the cluster, declare the gold SLO,
      and close the loop with Nkctl verbs on breach. *)
@@ -163,20 +152,12 @@ let run ?(quick = false) () =
   Nkobs.add_tenant obs ~name:"gold"
     ~target:{ Nkobs.latency_p99 = Some p99_target; max_error_rate = 0.0; min_requests = 10 }
     ~probe:(fun () ->
-      match !gold_lg with
-      | None ->
-          {
-            Nkobs.p_requests = 0;
-            p_errors = 0;
-            p_latency = Nkutil.Histogram.create ();
-          }
-      | Some lg ->
-          let r = Nkapps.Loadgen.results lg in
-          {
-            Nkobs.p_requests = r.Nkapps.Loadgen.completed;
-            p_errors = r.Nkapps.Loadgen.errors;
-            p_latency = r.Nkapps.Loadgen.latency;
-          });
+      let r = Nkapps.Loadgen.results gold_lg in
+      {
+        Nkobs.p_requests = r.Nkapps.Loadgen.completed;
+        p_errors = r.Nkapps.Loadgen.errors;
+        p_latency = r.Nkapps.Loadgen.latency;
+      });
   let reactions = ref [] in
   Nkobs.on_alert obs (fun ~time alert ->
       match alert with
@@ -209,11 +190,7 @@ let run ?(quick = false) () =
   let series f = bucket ~k ~duration (List.map f samples) in
   let p99_ms = series (fun (t, p, _) -> (t, p *. 1e3)) in
   let alerts_cum = series (fun (t, _, a) -> (t, a)) in
-  let gold_results =
-    match !gold_lg with
-    | Some lg -> Nkapps.Loadgen.results lg
-    | None -> failwith "slo: gold load generator never started"
-  in
+  let gold_results = Nkapps.Loadgen.results gold_lg in
   let st =
     match Nkobs.slo_status obs with
     | [ st ] -> st

@@ -19,33 +19,32 @@ let throughput w ~n_nsms ~direction ~duration =
   in
   let sinks =
     List.init n_nsms (fun i ->
-        match
-          Nkapps.Stream.sink ~engine ~api:sink_api ~addr:(Addr.make sink_ip (base_port + i))
-        with
-        | Ok s -> s
-        | Error e -> failwith (Tcpstack.Types.err_to_string e))
+        Tcpstack.Types.get_exn "sink"
+          (Nkapps.Stream.sink ~engine ~api:sink_api ~addr:(Addr.make sink_ip (base_port + i))))
   in
-  ignore
-    (Sim.Engine.schedule engine ~delay:1e-3 (fun () ->
-         List.iteri
-           (fun i _ ->
-             ignore
-               (Nkapps.Stream.senders ~engine ~api:sender_api
-                  ~dst:(Addr.make sink_ip (base_port + i))
-                  ~streams:8 ~msg_size:8192
-                  ~stop:(Sim.Engine.now engine +. duration)
-                  ()))
-           sinks));
+  let start = Sim.Engine.now engine +. 1e-3 in
+  List.iteri
+    (fun i _ ->
+      ignore
+        (Nkapps.Stream.senders ~engine ~api:sender_api
+           ~dst:(Addr.make sink_ip (base_port + i))
+           ~streams:8 ~msg_size:8192 ~start ~stop:(start +. duration) ()))
+    sinks;
   Testbed.run w.Worlds.tb ~until:(duration +. 0.1);
   List.fold_left (fun acc s -> acc +. Nkapps.Stream.sink_throughput_gbps s) 0.0 sinks
 
 let rps w ~n_nsms ~total =
+  let engine = w.Worlds.tb.Testbed.engine in
   let proto = Nkapps.Proto.Fixed { request = 64; response = 64; keepalive = false } in
   let lgs =
     List.init n_nsms (fun i ->
         let addr = Addr.make Worlds.server_ip (80 + i) in
-        let _server = Worlds.run_server w (Nkapps.Epoll_server.config ~proto addr) in
-        Worlds.start_loadgen w
+        ignore
+          (Tcpstack.Types.get_exn "epoll server"
+             (Nkapps.Epoll_server.start ~engine ~api:(Vm.api w.Worlds.server_vm)
+                (Nkapps.Epoll_server.config ~proto addr)));
+        Nkapps.Loadgen.start ~engine ~api:(Vm.api w.Worlds.client_vm)
+          ~start:(Sim.Engine.now engine +. 1e-3)
           {
             Nkapps.Loadgen.server = addr;
             proto;
@@ -56,12 +55,7 @@ let rps w ~n_nsms ~total =
           })
   in
   Testbed.run w.Worlds.tb ~until:120.0;
-  List.fold_left
-    (fun acc lg ->
-      match !lg with
-      | None -> acc
-      | Some lg -> acc +. (Nkapps.Loadgen.results lg).Nkapps.Loadgen.rps)
-    0.0 lgs
+  List.fold_left (fun acc lg -> acc +. (Nkapps.Loadgen.results lg).Nkapps.Loadgen.rps) 0.0 lgs
 
 let run ?(quick = false) () =
   let duration = if quick then 0.3 else 1.0 in

@@ -15,21 +15,19 @@ let cycles_at w ~gbps ~duration =
   let engine = w.Worlds.tb.Testbed.engine in
   let sink_addr = Addr.make Worlds.client_ip 5001 in
   let sink =
-    match
-      Nkapps.Stream.sink ~engine ~api:(Vm.api w.Worlds.client_vm) ~addr:sink_addr
-    with
-    | Ok s -> s
-    | Error e -> failwith (Tcpstack.Types.err_to_string e)
+    Tcpstack.Types.get_exn "sink"
+      (Nkapps.Stream.sink ~engine ~api:(Vm.api w.Worlds.client_vm) ~addr:sink_addr)
   in
   let vm0 = ref 0.0 and nsm0 = ref 0.0 in
+  let start = Sim.Engine.now engine +. 1e-3 in
   ignore
-    (Sim.Engine.schedule engine ~delay:1e-3 (fun () ->
-         ignore
-           (Nkapps.Stream.senders ~engine ~api:(Vm.api w.Worlds.server_vm) ~dst:sink_addr
-              ~streams:8 ~msg_size:8192 ~pace_gbps:gbps
-              ~stop:(Sim.Engine.now engine +. duration +. 1e-3)
-              ());
-         (* Skip the slow-start warmup in the accounting. *)
+    (Nkapps.Stream.senders ~engine ~api:(Vm.api w.Worlds.server_vm) ~dst:sink_addr ~streams:8
+       ~msg_size:8192 ~pace_gbps:gbps ~start ~stop:(start +. duration +. 1e-3) ());
+  (* Skip the slow-start warmup in the accounting. Armed at [start], after
+     the senders' own start event, so the sample keeps its place among
+     same-time events. *)
+  ignore
+    (Sim.Engine.schedule_at engine ~at:start (fun () ->
          ignore
            (Sim.Engine.schedule engine ~delay:0.2 (fun () ->
                 vm0 := Vm.busy_cycles w.Worlds.server_vm;

@@ -85,23 +85,16 @@ let netkernel ?(config = Config.default) () =
 
 (* ---- drivers ------------------------------------------------------------- *)
 
-let get_exn what = function
-  | Ok v -> v
-  | Error e -> failwith (Printf.sprintf "%s: %s" what (Types.err_to_string e))
-
 let measure_send_throughput w ?(streams = 8) ?(msg_size = 8192) ?(duration = 1.0) () =
   let engine = w.tb.Testbed.engine in
   let sink_addr = Addr.make client_ip 5001 in
   let sink =
-    get_exn "sink" (Nkapps.Stream.sink ~engine ~api:(Vm.api w.client_vm) ~addr:sink_addr)
+    Types.get_exn "sink" (Nkapps.Stream.sink ~engine ~api:(Vm.api w.client_vm) ~addr:sink_addr)
   in
+  let start = Sim.Engine.now engine +. 1e-3 in
   ignore
-    (Sim.Engine.schedule engine ~delay:1e-3 (fun () ->
-         ignore
-           (Nkapps.Stream.senders ~engine ~api:(Vm.api w.server_vm) ~dst:sink_addr ~streams
-              ~msg_size
-              ~stop:(Sim.Engine.now engine +. duration)
-              ())));
+    (Nkapps.Stream.senders ~engine ~api:(Vm.api w.server_vm) ~dst:sink_addr ~streams ~msg_size
+       ~start ~stop:(start +. duration) ());
   Testbed.run w.tb ~until:(duration +. 0.1);
   Nkapps.Stream.sink_throughput_gbps sink
 
@@ -109,7 +102,7 @@ let measure_recv_throughput w ?(streams = 8) ?(msg_size = 8192) ?(duration = 1.0
   let engine = w.tb.Testbed.engine in
   let sink_addr = Addr.make server_ip 5001 in
   let sink =
-    get_exn "sink" (Nkapps.Stream.sink ~engine ~api:(Vm.api w.server_vm) ~addr:sink_addr)
+    Types.get_exn "sink" (Nkapps.Stream.sink ~engine ~api:(Vm.api w.server_vm) ~addr:sink_addr)
   in
   (* The paper's traffic source is the other testbed server running a real
      kernel stack, so per-message send costs shape the small-message end of
@@ -123,13 +116,10 @@ let measure_recv_throughput w ?(streams = 8) ?(msg_size = 8192) ?(duration = 1.0
           Sim.Cost_profile.tx_contention = 0.0; rx_contention = 0.0; rps_contention = 0.0 }
       ()
   in
+  let start = Sim.Engine.now engine +. 1e-3 in
   ignore
-    (Sim.Engine.schedule engine ~delay:1e-3 (fun () ->
-         ignore
-           (Nkapps.Stream.senders ~engine ~api:(Vm.api sender_vm) ~dst:sink_addr ~streams
-              ~msg_size
-              ~stop:(Sim.Engine.now engine +. duration)
-              ())));
+    (Nkapps.Stream.senders ~engine ~api:(Vm.api sender_vm) ~dst:sink_addr ~streams ~msg_size
+       ~start ~stop:(start +. duration) ());
   Testbed.run w.tb ~until:(duration +. 0.1);
   Nkapps.Stream.sink_throughput_gbps sink
 
@@ -142,18 +132,6 @@ type rps_result = {
   ce_cycles : float;
 }
 
-let run_server w cfg =
-  get_exn "epoll server"
-    (Nkapps.Epoll_server.start ~engine:w.tb.Testbed.engine ~api:(Vm.api w.server_vm) cfg)
-
-let start_loadgen w ?(delay = 1e-3) ?on_done cfg =
-  let lg = ref None in
-  ignore
-    (Sim.Engine.schedule w.tb.Testbed.engine ~delay (fun () ->
-         lg := Some (Nkapps.Loadgen.start ~engine:w.tb.Testbed.engine
-                       ~api:(Vm.api w.client_vm) ?on_done cfg)));
-  lg
-
 let nsm_cycles w = List.fold_left (fun acc nsm -> acc +. Nsm.busy_cycles nsm) 0.0 w.nsms
 
 let ce_cycles w =
@@ -164,11 +142,6 @@ let ce_cycles w =
       (Host.ce_cores w.server_host)
   else 0.0
 
-let ce_shard_cycles w =
-  if Host.netkernel_enabled w.server_host then
-    Array.map Sim.Cpu.busy_cycles (Host.ce_cores w.server_host)
-  else [||]
-
 let measure_rps w ?(concurrency = 100) ?(total = 50_000) ?(msg_size = 64)
     ?(app_cycles = 0.0) ?(backlog = 8192) ?proto () =
   let proto =
@@ -176,17 +149,19 @@ let measure_rps w ?(concurrency = 100) ?(total = 50_000) ?(msg_size = 64)
     | Some p -> p
     | None -> Nkapps.Proto.Fixed { request = msg_size; response = msg_size; keepalive = false }
   in
+  let engine = w.tb.Testbed.engine in
   let addr = Addr.make server_ip 80 in
-  let _server =
-    run_server w
-      (Nkapps.Epoll_server.config ~backlog ~proto ~app_cycles
-         ~app_cores:(Vm.cores w.server_vm) addr)
-  in
+  ignore
+    (Types.get_exn "epoll server"
+       (Nkapps.Epoll_server.start ~engine ~api:(Vm.api w.server_vm)
+          (Nkapps.Epoll_server.config ~backlog ~proto ~app_cycles
+             ~app_cores:(Vm.cores w.server_vm) addr)));
   let vm0 = Vm.busy_cycles w.server_vm in
   let nsm0 = nsm_cycles w in
   let ce0 = ce_cycles w in
   let lg =
-    start_loadgen w
+    Nkapps.Loadgen.start ~engine ~api:(Vm.api w.client_vm)
+      ~start:(Sim.Engine.now engine +. 1e-3)
       {
         Nkapps.Loadgen.server = addr;
         proto;
@@ -195,15 +170,12 @@ let measure_rps w ?(concurrency = 100) ?(total = 50_000) ?(msg_size = 64)
       }
   in
   Testbed.run w.tb ~until:120.0;
-  match !lg with
-  | None -> failwith "loadgen never started"
-  | Some lg ->
-      let r = Nkapps.Loadgen.results lg in
-      {
-        rps = r.Nkapps.Loadgen.rps;
-        errors = r.Nkapps.Loadgen.errors;
-        latency = r.Nkapps.Loadgen.latency;
-        vm_cycles = Vm.busy_cycles w.server_vm -. vm0;
-        nsm_cycles = nsm_cycles w -. nsm0;
-        ce_cycles = ce_cycles w -. ce0;
-      }
+  let r = Nkapps.Loadgen.results lg in
+  {
+    rps = r.Nkapps.Loadgen.rps;
+    errors = r.Nkapps.Loadgen.errors;
+    latency = r.Nkapps.Loadgen.latency;
+    vm_cycles = Vm.busy_cycles w.server_vm -. vm0;
+    nsm_cycles = nsm_cycles w -. nsm0;
+    ce_cycles = ce_cycles w -. ce0;
+  }

@@ -51,7 +51,12 @@ val netkernel : ?config:Config.t -> unit -> world
 (** NetKernel: VM with GuestLib + NSM(s) on the server host, CoreEngine on
     [ce_cores] dedicated cores (default 1, one switching shard each). *)
 
-(** {1 Measurement drivers} *)
+(** {1 Measurement drivers}
+
+    Each driver starts its load 1 ms after setup, passing
+    [~start:(Engine.now e +. 1e-3)] to {!Nkapps.Loadgen.start} or
+    {!Nkapps.Stream.senders} so listeners are up first; setup errors raise
+    through {!Tcpstack.Types.get_exn}. *)
 
 val measure_send_throughput :
   world -> ?streams:int -> ?msg_size:int -> ?duration:float -> unit -> float
@@ -74,10 +79,6 @@ val ce_cycles : world -> float
 (** Total busy cycles across every CoreEngine shard core (0 when NetKernel
     is off). *)
 
-val ce_shard_cycles : world -> float array
-(** Per-shard CE core busy cycles, in shard order (empty when NetKernel is
-    off). *)
-
 val measure_rps :
   world ->
   ?concurrency:int ->
@@ -89,13 +90,3 @@ val measure_rps :
   unit ->
   rps_result
 (** Non-keepalive epoll server in the VM under closed-loop load. *)
-
-val run_server :
-  world -> Nkapps.Epoll_server.config -> Nkapps.Epoll_server.t
-(** Start an epoll server in the server VM (raises on setup failure). *)
-
-val start_loadgen :
-  world -> ?delay:float -> ?on_done:(unit -> unit) -> Nkapps.Loadgen.config ->
-  Nkapps.Loadgen.t option ref
-(** Start a load generator on the client machine after [delay] (default
-    1 ms, letting listeners come up). *)

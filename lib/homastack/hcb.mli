@@ -77,9 +77,6 @@ val local_addr : t -> Addr.t
 
 val peer_addr : t -> Addr.t
 
-val ready_bytes : t -> int
-(** Total unread bytes of completed messages. *)
-
 val eof_pending : t -> bool
 
 val inflight : t -> int

@@ -696,8 +696,6 @@ let stats t =
     conns_failed = R.counter_value t.ctr.c_failed;
   }
 
-let conn_count t = Flow_tbl.length t.conns
-
 (* ---- The Stack_ops boundary --------------------------------------------- *)
 
 let ops t =

@@ -196,13 +196,8 @@ let rec open_arrivals t =
            open_arrivals t))
   end
 
-let start ~engine ~api ?on_done cfg =
-  let deadline =
-    match cfg.mode with
-    | Closed { duration = Some d; _ } -> Engine.now engine +. d
-    | Closed { duration = None; _ } -> infinity
-    | Open { duration; _ } -> Engine.now engine +. duration
-  in
+let start ~engine ~api ?start ?on_done cfg =
+  let now = Engine.now engine in
   let t =
     {
       engine;
@@ -217,22 +212,33 @@ let start ~engine ~api ?on_done cfg =
       errors = 0;
       response_bytes = 0;
       in_flight = 0;
-      started = Engine.now engine;
-      finished = Engine.now engine;
+      started = now;
+      finished = now;
       done_fired = false;
-      deadline;
+      deadline = infinity;
     }
   in
   Reactor.run t.reactor;
-  (match cfg.mode with
-  | Closed { concurrency; _ } ->
-      (* Ramp workers up instead of firing all SYNs in the same instant:
-         real clients (and ab) spread connection establishment over the
-         first RTTs. *)
-      for i = 0 to concurrency - 1 do
-        ignore
-          (Engine.schedule engine ~delay:(float_of_int i *. 50e-6) (fun () ->
-               closed_worker t))
-      done
-  | Open _ -> open_arrivals t);
+  let go () =
+    let now = Engine.now engine in
+    t.started <- now;
+    t.finished <- now;
+    match cfg.mode with
+    | Closed { concurrency; duration; _ } ->
+        t.deadline <- (match duration with Some d -> now +. d | None -> infinity);
+        (* Ramp workers up instead of firing all SYNs in the same instant:
+           real clients (and ab) spread connection establishment over the
+           first RTTs. *)
+        for i = 0 to concurrency - 1 do
+          ignore
+            (Engine.schedule engine ~delay:(float_of_int i *. 50e-6) (fun () ->
+                 closed_worker t))
+        done
+    | Open { duration; _ } ->
+        t.deadline <- now +. duration;
+        open_arrivals t
+  in
+  (match start with
+  | None -> go ()
+  | Some at -> ignore (Engine.schedule_at engine ~at go));
   t

@@ -36,10 +36,17 @@ type results = {
 val start :
   engine:Sim.Engine.t ->
   api:Tcpstack.Socket_api.t ->
+  ?start:float ->
   ?on_done:(unit -> unit) ->
   config ->
   t
-(** [on_done] fires when a closed-loop run exhausts its request budget. *)
+(** Return the generator at once and begin issuing load at virtual time
+    [start] (default now; the {!Stream.senders} convention). Nothing
+    connects before [start]; [started], [finished], a [duration]'s deadline,
+    the closed-loop worker ramp and open arrivals all count from it, so
+    [results] read earlier show an idle run. Experiments pass
+    [~start:(Engine.now e +. 1e-3)] to let listeners come up first.
+    [on_done] fires when a closed-loop run exhausts its request budget. *)
 
 val results : t -> results
 

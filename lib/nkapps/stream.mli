@@ -41,8 +41,9 @@ val senders :
   ?pace_gbps:float ->
   unit ->
   sender
-(** Open [streams] connections at [start] (default now) and pump [msg_size]
-    messages until [stop] (default: forever), then close. [pace_gbps]
+(** Open [streams] connections at [start] (default now; the same
+    convention as {!Loadgen.start}) and pump [msg_size] messages until
+    [stop] (default: forever), then close. Returns at once. [pace_gbps]
     token-buckets the aggregate offered load (used to hold a fixed
     throughput level, e.g. the paper's Table 6). *)
 

@@ -138,17 +138,6 @@ let row_headers = [ "component"; "instance"; "metric"; "value" ]
 let to_rows t =
   List.map (fun e -> [ e.component; e.instance; e.metric; value_cell e.value ]) (entries t)
 
-let to_csv t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (String.concat "," row_headers);
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun row ->
-      Buffer.add_string buf (String.concat "," (List.map (fun c -> "\"" ^ c ^ "\"") row));
-      Buffer.add_char buf '\n')
-    (to_rows t);
-  Buffer.contents buf
-
 let json_float v = Printf.sprintf "%.9g" v
 
 let value_json = function

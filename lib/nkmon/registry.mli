@@ -92,15 +92,9 @@ val value_cell : value -> string
     histograms and time series summarised. Exposed so cross-host
     aggregators (Nkobs federation) render merged rows identically. *)
 
-val value_json : value -> string
-(** The JSON body rendered for one value (the [kind/value] fields of a
-    {!to_json} metric object, without the surrounding braces). *)
-
 val to_rows : t -> string list list
 (** One row per metric in {!entries} order; histograms and time series
     are summarised into the value cell. *)
-
-val to_csv : t -> string
 
 val to_json : t -> string
 (** Deterministic: identical registry contents serialize byte-identically. *)

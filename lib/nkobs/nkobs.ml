@@ -249,48 +249,6 @@ let to_rows t =
         (Registry.entries (Nkmon.registry s.s_mon)))
     t.srcs
 
-let to_csv t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (String.concat "," row_headers);
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun row ->
-      Buffer.add_string buf (String.concat "," (List.map (fun c -> "\"" ^ c ^ "\"") row));
-      Buffer.add_char buf '\n')
-    (to_rows t);
-  Buffer.contents buf
-
-let to_json t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"hosts\":[";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "{\"host\":\"%s\",\"metrics\":%d,\"dropped_events\":%d}"
-           (Nkutil.Json.escape s.s_host)
-           (Registry.cardinality (Nkmon.registry s.s_mon))
-           (Nkmon.dropped_events s.s_mon)))
-    t.srcs;
-  Buffer.add_string buf "],\"metrics\":[\n";
-  let first = ref true in
-  List.iter
-    (fun s ->
-      List.iter
-        (fun (e : Registry.entry) ->
-          if not !first then Buffer.add_string buf ",\n";
-          first := false;
-          Buffer.add_string buf
-            (Printf.sprintf
-               "{\"host\":\"%s\",\"component\":\"%s\",\"instance\":\"%s\",\"metric\":\"%s\",%s}"
-               (Nkutil.Json.escape s.s_host) (Nkutil.Json.escape e.component)
-               (Nkutil.Json.escape e.instance) (Nkutil.Json.escape e.metric)
-               (Registry.value_json e.value)))
-        (Registry.entries (Nkmon.registry s.s_mon)))
-    t.srcs;
-  Buffer.add_string buf "\n]}\n";
-  Buffer.contents buf
-
 (* Merge order: virtual time, then source add order, then sequence number —
    a total order (seq is unique per source), so the sort result does not
    depend on sort stability. *)
@@ -395,8 +353,6 @@ let flight_snapshot t ~time alert =
   Buffer.contents buf
 
 let dumps t = List.rev t.dump_log
-
-let dump_count t = t.n_dumps
 
 (* ---- the alert path ------------------------------------------------------ *)
 

@@ -6,7 +6,7 @@
     and turns their per-host state into an operator view:
 
     - {e metric federation}: walk every source registry and produce one
-      merged, host-tagged snapshot ({!to_rows}/{!to_csv}/{!to_json}) and
+      merged, host-tagged snapshot ({!to_rows}, rendered by [Mon_report]) and
       one merged trace ordered by virtual time ({!merged_trace_csv}) —
       what [nk stats --cluster] and [nk trace --cluster] print;
     - {e per-tenant SLO accounting}: rolling windows over each tenant's
@@ -187,14 +187,6 @@ val to_rows : t -> string list list
 (** One row per metric of every source, host tag first — sources in add
     order, each source's rows in its registry's sorted order. *)
 
-val to_csv : t -> string
-
-val to_json : t -> string
-(** [{"hosts":[...],"metrics":[...]}], deterministic; each metric object
-    carries its [host] tag, and each host object its trace
-    [dropped_events] count so truncation is visible in the export
-    itself. *)
-
 val merged_trace : t -> (string * Nkmon.Trace.record) list
 (** All sources' retained trace events, host-tagged and merged in
     virtual-time order (ties: source add order, then sequence number). *)
@@ -216,5 +208,3 @@ val dumps : t -> (float * alert * string) list
     source at the moment the alert fired, host-tagged and merged in
     virtual-time order. Byte-identical across same-seed runs. *)
 
-val dump_count : t -> int
-(** Alerts that requested a dump (including those past [max_dumps]). *)

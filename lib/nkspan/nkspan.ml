@@ -153,7 +153,6 @@ let finished_spans t =
     (fold_spans t (fun acc sp -> if sp.finished_at >= 0.0 then sp :: acc else acc) [])
 
 let span_id sp = sp.id
-let span_vm sp = sp.vm
 let span_birth sp = sp.birth
 let span_finish sp = sp.finished_at
 let span_segs sp = List.rev sp.segs

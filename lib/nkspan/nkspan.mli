@@ -91,7 +91,6 @@ val finished_spans : t -> span list
 (** Completed spans in creation (id) order. *)
 
 val span_id : span -> int
-val span_vm : span -> string
 val span_birth : span -> float
 val span_finish : span -> float
 val span_segs : span -> seg list

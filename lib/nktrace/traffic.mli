@@ -27,8 +27,6 @@ val default_params : params
 (** One-hour series (60 minutes) matching Fig 7's burstiness: mean
     utilization a few percent of peak. *)
 
-val generate : rng:Nkutil.Rng.t -> ?params:params -> ag_id:int -> unit -> t
-
 val generate_fleet : seed:int -> ?params:params -> n:int -> unit -> t list
 (** [n] AGs with independent sub-streams of one seed. *)
 

@@ -13,7 +13,6 @@ type t = {
   mutable segments_sent : int;
   mutable drops : int;
   mutable marks : int;
-  mutable transmit_hook : (Segment.t -> unit) option;
   mutable loss : (Nkutil.Rng.t * float) option;
   (* In-flight transmissions whose buffer space is not yet released: a
      circular FIFO of (tx_done, wire_bytes) pairs in unboxed parallel
@@ -35,7 +34,7 @@ let create engine ~rate_bps ~delay ?(buffer_bytes = 16 * 1024 * 1024) ?ecn_thres
   { engine; rate = rate_bps; delay; buffer = buffer_bytes;
     ecn_threshold = ecn_threshold_bytes; mark_rng = Nkutil.Rng.create ~seed:0x51ED;
     name; receiver = None; busy_until = 0.0; queued = 0;
-    bytes_sent = 0; segments_sent = 0; drops = 0; marks = 0; transmit_hook = None;
+    bytes_sent = 0; segments_sent = 0; drops = 0; marks = 0;
     loss = None;
     fly_time = Array.make 64 0.0; fly_wire = Array.make 64 0; fly_head = 0; fly_len = 0 }
 
@@ -43,7 +42,6 @@ let set_random_loss t ~rng ~rate = t.loss <- Some (rng, rate)
 
 let set_receiver t f = t.receiver <- Some f
 
-let on_transmit t f = t.transmit_hook <- Some f
 
 (* Release the buffer space of every transmission completed by [now]. *)
 let release t now =
@@ -135,26 +133,12 @@ let send t seg =
     let start = Float.max now t.busy_until in
     let tx_done = start +. (float_of_int wire *. 8.0 /. t.rate) in
     t.busy_until <- tx_done;
-    (match t.transmit_hook with
-    | None -> fly_push t tx_done wire
-    | Some _ ->
-        (* A hook needs the exact completion instant and the segment, so
-           fall back to an eager completion event. *)
-        ignore
-          (Sim.Engine.schedule_at t.engine ~at:tx_done (fun () ->
-               t.queued <- t.queued - wire;
-               t.bytes_sent <- t.bytes_sent + wire;
-               t.segments_sent <- t.segments_sent + 1;
-               match t.transmit_hook with None -> () | Some f -> f seg)));
+    fly_push t tx_done wire;
     ignore (Sim.Engine.schedule_at t.engine ~at:(tx_done +. t.delay) (fun () -> receiver seg));
     true
   end
 
 let rate_bps t = t.rate
-
-let queued_bytes t =
-  release t (Sim.Engine.now t.engine);
-  t.queued
 
 let bytes_sent t =
   release t (Sim.Engine.now t.engine);

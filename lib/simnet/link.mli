@@ -27,9 +27,6 @@ val send : t -> Segment.t -> bool
 
 val rate_bps : t -> float
 
-val queued_bytes : t -> int
-(** Wire bytes currently buffered (awaiting or in transmission). *)
-
 val bytes_sent : t -> int
 (** Total wire bytes that completed transmission. *)
 
@@ -38,10 +35,6 @@ val segments_sent : t -> int
 val drops : t -> int
 
 val ecn_marks : t -> int
-
-val on_transmit : t -> (Segment.t -> unit) -> unit
-(** Hook invoked when a segment finishes serialization (e.g. to feed the
-    host pressure estimator). *)
 
 val set_random_loss : t -> rng:Nkutil.Rng.t -> rate:float -> unit
 (** Drop each segment independently with probability [rate] (fault

@@ -29,10 +29,8 @@ let unpack_listener = function
   | Listener l -> l
   | _ -> invalid_arg "Tcp_ops: foreign listener handle"
 
-let conn_stack c = fst (unpack_conn c)
-
-let conn_sock c = snd (unpack_conn c)
-
+(* Wrap a stack export in the neutral envelope (proto "tcp", steering flow =
+   the registry's client -> server flow). *)
 let export_of ex =
   {
     Stack_ops.e_proto = proto;
@@ -92,9 +90,6 @@ let listener_on_group stacks ~addr ~backlog ~on_accept =
   in
   setup stacks
 
-let listener_on stack ~addr ~backlog ~on_accept =
-  listener_on_group [ stack ] ~addr ~backlog ~on_accept
-
 let close_listener_handle h =
   let l = unpack_listener h in
   if l.l_open then begin
@@ -102,6 +97,8 @@ let close_listener_handle h =
     List.iter (fun (stack, sock) -> Stack.close stack sock) l.parts
   end
 
+(* Stop admitting fresh connections on every part (Stack.pause_listener: new
+   SYNs drop silently, queued accepts keep settling). *)
 let quiesce_listener_handle h =
   let l = unpack_listener h in
   if l.l_open then
@@ -115,7 +112,8 @@ let of_stack stack =
     engine = Stack.engine stack;
     add_ip = Stack.add_ip stack;
     remove_ip = Stack.remove_ip stack;
-    new_listener = (fun ~addr ~backlog ~on_accept -> listener_on stack ~addr ~backlog ~on_accept);
+    new_listener =
+      (fun ~addr ~backlog ~on_accept -> listener_on_group [ stack ] ~addr ~backlog ~on_accept);
     close_listener = close_listener_handle;
     quiesce_listener = quiesce_listener_handle;
     connect =

@@ -20,7 +20,9 @@ let err_to_string = function
   | Eagain -> "EAGAIN"
   | Enobufs -> "ENOBUFS"
 
-let pp_err fmt e = Format.pp_print_string fmt (err_to_string e)
+let get_exn what = function
+  | Ok v -> v
+  | Error e -> failwith (Printf.sprintf "%s: %s" what (err_to_string e))
 
 type payload = Data of string | Zeros of int
 

@@ -13,7 +13,9 @@ type err =
 
 val err_to_string : err -> string
 
-val pp_err : Format.formatter -> err -> unit
+val get_exn : string -> ('a, err) result -> 'a
+(** [get_exn what r] unwraps a setup step that must succeed: an [Error e]
+    raises [Failure "what: <err_to_string e>"]. *)
 
 (** Application payloads. [Zeros n] is synthetic filler for performance
     experiments (content-free, O(1) space); [Data s] carries real bytes and

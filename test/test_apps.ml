@@ -19,26 +19,22 @@ let fixed n = Nkapps.Proto.Fixed { request = n; response = n; keepalive = false 
 
 let run_loadgen w (server : World.endpoint) (client : World.endpoint) ~proto ~total
     ~concurrency =
-  (match
-     Nkapps.Epoll_server.start ~engine:w.World.engine ~api:server.World.api
-       (Nkapps.Epoll_server.config ~proto (Addr.make ip_server 80))
-   with
-  | Ok s -> ignore s
-  | Error e -> Alcotest.failf "server: %s" (Types.err_to_string e));
-  let lg = ref None in
   ignore
-    (E.schedule w.World.engine ~delay:1e-3 (fun () ->
-         lg :=
-           Some
-             (Nkapps.Loadgen.start ~engine:w.World.engine ~api:client.World.api
-                {
-                  Nkapps.Loadgen.server = Addr.make ip_server 80;
-                  proto;
-                  mode = Nkapps.Loadgen.Closed { concurrency; total = Some total; duration = None };
-                  warmup = 0.0;
-                })));
+    (Types.get_exn "server"
+       (Nkapps.Epoll_server.start ~engine:w.World.engine ~api:server.World.api
+          (Nkapps.Epoll_server.config ~proto (Addr.make ip_server 80))));
+  let lg =
+    Nkapps.Loadgen.start ~engine:w.World.engine ~api:client.World.api
+      ~start:(E.now w.World.engine +. 1e-3)
+      {
+        Nkapps.Loadgen.server = Addr.make ip_server 80;
+        proto;
+        mode = Nkapps.Loadgen.Closed { concurrency; total = Some total; duration = None };
+        warmup = 0.0;
+      }
+  in
   World.run w ~until:60.0;
-  Nkapps.Loadgen.results (Option.get !lg)
+  Nkapps.Loadgen.results lg
 
 let loadgen_completes_exactly () =
   let w = world () in
@@ -48,31 +44,96 @@ let loadgen_completes_exactly () =
   Alcotest.(check int) "errors" 0 r.Nkapps.Loadgen.errors;
   Alcotest.(check int) "latency samples" 1500 (Nkutil.Histogram.count r.Nkapps.Loadgen.latency)
 
+(* [Loadgen.start ~start]: the generator exists at once but issues nothing
+   before [start], and a closed-loop [duration] counts from [start], not
+   from the call. The client API is wrapped to timestamp every socket()
+   call, i.e. every request the generator issues. *)
+let deferred_start = 0.25
+
+let deferred_duration = 0.1
+
+let deferred_run ~seed =
+  let w = World.create ~seed () in
+  let server = server_endpoint w and client = client_endpoint w in
+  ignore
+    (Types.get_exn "server"
+       (Nkapps.Epoll_server.start ~engine:w.World.engine ~api:server.World.api
+          (Nkapps.Epoll_server.config ~proto:(fixed 64) (Addr.make ip_server 80))));
+  let issued = ref [] in
+  let api =
+    {
+      client.World.api with
+      Socket_api.socket =
+        (fun () ->
+          issued := E.now w.World.engine :: !issued;
+          client.World.api.Socket_api.socket ());
+    }
+  in
+  let lg =
+    Nkapps.Loadgen.start ~engine:w.World.engine ~api ~start:deferred_start
+      {
+        Nkapps.Loadgen.server = Addr.make ip_server 80;
+        proto = fixed 64;
+        mode =
+          Nkapps.Loadgen.Closed
+            { concurrency = 8; total = None; duration = Some deferred_duration };
+        warmup = 0.0;
+      }
+  in
+  World.run w ~until:(deferred_start -. 1e-3);
+  let before = (Nkapps.Loadgen.results lg, List.length !issued) in
+  World.run w ~until:1.0;
+  (before, Nkapps.Loadgen.results lg, List.rev !issued)
+
+let loadgen_deferred_start () =
+  let (r0, issued0), r, issued = deferred_run ~seed:42 in
+  Alcotest.(check int) "no request before start" 0 issued0;
+  Alcotest.(check int) "nothing completed before start" 0 r0.Nkapps.Loadgen.completed;
+  Alcotest.(check (float 0.0)) "started = start" deferred_start r.Nkapps.Loadgen.started;
+  if r.Nkapps.Loadgen.completed = 0 then Alcotest.fail "no load after start";
+  Alcotest.(check int) "one socket per request" (List.length issued)
+    (r.Nkapps.Loadgen.completed + r.Nkapps.Loadgen.errors);
+  List.iter
+    (fun t ->
+      if t < deferred_start || t >= deferred_start +. deferred_duration then
+        Alcotest.failf "request issued at %.6fs, outside [start, start + duration)" t)
+    issued
+
+let loadgen_deferred_start_deterministic () =
+  let summary (_, (r : Nkapps.Loadgen.results), issued) =
+    ( (r.completed, r.errors, r.response_bytes),
+      (r.started, r.finished),
+      (Nkutil.Histogram.count r.latency, Nkutil.Histogram.percentile r.latency 99.0),
+      issued )
+  in
+  Alcotest.(check bool) "same seed, identical run" true
+    (summary (deferred_run ~seed:7) = summary (deferred_run ~seed:7))
+
+let get_exn_names_the_step () =
+  Alcotest.(check int) "Ok passes through" 3 (Types.get_exn "unused" (Ok 3));
+  Alcotest.check_raises "Error raises Failure \"what: <err>\"" (Failure "bind: EADDRINUSE")
+    (fun () -> ignore (Types.get_exn "bind" (Error Types.Eaddrinuse)))
+
 let server_counts_match () =
   let w = world () in
   let server = server_endpoint w and client = client_endpoint w in
   let srv =
-    match
-      Nkapps.Epoll_server.start ~engine:w.World.engine ~api:server.World.api
-        (Nkapps.Epoll_server.config ~proto:(fixed 128) (Addr.make ip_server 81))
-    with
-    | Ok s -> s
-    | Error e -> Alcotest.failf "server: %s" (Types.err_to_string e)
+    Types.get_exn "server"
+      (Nkapps.Epoll_server.start ~engine:w.World.engine ~api:server.World.api
+         (Nkapps.Epoll_server.config ~proto:(fixed 128) (Addr.make ip_server 81)))
   in
-  let lg = ref None in
-  ignore
-    (E.schedule w.World.engine ~delay:1e-3 (fun () ->
-         lg :=
-           Some
-             (Nkapps.Loadgen.start ~engine:w.World.engine ~api:client.World.api
-                {
-                  Nkapps.Loadgen.server = Addr.make ip_server 81;
-                  proto = fixed 128;
-                  mode = Nkapps.Loadgen.Closed { concurrency = 8; total = Some 400; duration = None };
-                  warmup = 0.0;
-                })));
+  let lg =
+    Nkapps.Loadgen.start ~engine:w.World.engine ~api:client.World.api
+      ~start:(E.now w.World.engine +. 1e-3)
+      {
+        Nkapps.Loadgen.server = Addr.make ip_server 81;
+        proto = fixed 128;
+        mode = Nkapps.Loadgen.Closed { concurrency = 8; total = Some 400; duration = None };
+        warmup = 0.0;
+      }
+  in
   World.run w ~until:30.0;
-  let r = Nkapps.Loadgen.results (Option.get !lg) in
+  let r = Nkapps.Loadgen.results lg in
   let s = Nkapps.Epoll_server.stats srv in
   Alcotest.(check int) "client completed" 400 r.Nkapps.Loadgen.completed;
   Alcotest.(check int) "server served" 400 s.Nkapps.Epoll_server.requests;
@@ -90,12 +151,10 @@ let http_end_to_end () =
 let open_loop_rate () =
   let w = world () in
   let server = server_endpoint w and client = client_endpoint w in
-  (match
-     Nkapps.Epoll_server.start ~engine:w.World.engine ~api:server.World.api
-       (Nkapps.Epoll_server.config ~proto:(fixed 64) (Addr.make ip_server 80))
-   with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "server: %s" (Types.err_to_string e));
+  ignore
+    (Types.get_exn "server"
+       (Nkapps.Epoll_server.start ~engine:w.World.engine ~api:server.World.api
+          (Nkapps.Epoll_server.config ~proto:(fixed 64) (Addr.make ip_server 80))));
   let lg =
     Nkapps.Loadgen.start ~engine:w.World.engine ~api:client.World.api
       {
@@ -114,19 +173,14 @@ let paced_stream () =
   let w = world () in
   let server = server_endpoint w and client = client_endpoint w in
   let sink =
-    match
-      Nkapps.Stream.sink ~engine:w.World.engine ~api:server.World.api
-        ~addr:(Addr.make ip_server 5001)
-    with
-    | Ok s -> s
-    | Error e -> Alcotest.failf "sink: %s" (Types.err_to_string e)
+    Types.get_exn "sink"
+      (Nkapps.Stream.sink ~engine:w.World.engine ~api:server.World.api
+         ~addr:(Addr.make ip_server 5001))
   in
   ignore
-    (E.schedule w.World.engine ~delay:1e-3 (fun () ->
-         ignore
-           (Nkapps.Stream.senders ~engine:w.World.engine ~api:client.World.api
-              ~dst:(Addr.make ip_server 5001) ~streams:2 ~msg_size:16384 ~pace_gbps:2.0
-              ~stop:1.0 ())));
+    (Nkapps.Stream.senders ~engine:w.World.engine ~api:client.World.api
+       ~dst:(Addr.make ip_server 5001) ~streams:2 ~msg_size:16384 ~pace_gbps:2.0
+       ~start:(E.now w.World.engine +. 1e-3) ~stop:1.0 ());
   World.run w ~until:1.2;
   let gbps = Nkapps.Stream.sink_throughput_gbps sink in
   if gbps < 1.6 || gbps > 2.2 then Alcotest.failf "pacing off: %.2f Gbps" gbps
@@ -134,31 +188,27 @@ let paced_stream () =
 let kvstore_baseline () =
   let w = world () in
   let server = server_endpoint w and client = client_endpoint w in
-  (match
-     Nkapps.Kvstore.start ~engine:w.World.engine ~api:server.World.api
-       ~addr:(Addr.make ip_server 6379)
-   with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "kv: %s" (Types.err_to_string e));
+  ignore
+    (Types.get_exn "kv"
+       (Nkapps.Kvstore.start ~engine:w.World.engine ~api:server.World.api
+          ~addr:(Addr.make ip_server 6379)));
   let got = ref None in
   Nkapps.Kvstore.Client.connect ~engine:w.World.engine ~api:client.World.api
     (Addr.make ip_server 6379) ~k:(fun r ->
-      match r with
-      | Error e -> Alcotest.failf "connect: %s" (Types.err_to_string e)
-      | Ok conn ->
-          Nkapps.Kvstore.Client.set conn ~key:"a b" ~value:"with spaces too" ~k:(fun _ ->
-              Nkapps.Kvstore.Client.get conn ~key:"a" ~k:(fun r1 ->
-                  (match r1 with
-                  | Ok None -> () (* "a b" was parsed as key "a"? no: SET a b -> key "a" value "b ..." *)
-                  | Ok (Some _) -> ()
-                  | Error e -> Alcotest.failf "get: %s" e);
-                  Nkapps.Kvstore.Client.get conn ~key:"a b" ~k:(fun _ ->
-                      Nkapps.Kvstore.Client.set conn ~key:"k" ~value:"v" ~k:(fun _ ->
-                          Nkapps.Kvstore.Client.get conn ~key:"k" ~k:(fun r ->
-                              (match r with
-                              | Ok v -> got := v
-                              | Error e -> Alcotest.failf "get k: %s" e);
-                              Nkapps.Kvstore.Client.close conn))))));
+      let conn = Types.get_exn "connect" r in
+      Nkapps.Kvstore.Client.set conn ~key:"a b" ~value:"with spaces too" ~k:(fun _ ->
+          Nkapps.Kvstore.Client.get conn ~key:"a" ~k:(fun r1 ->
+              (match r1 with
+              | Ok None -> () (* "a b" was parsed as key "a"? no: SET a b -> key "a" value "b ..." *)
+              | Ok (Some _) -> ()
+              | Error e -> Alcotest.failf "get: %s" e);
+              Nkapps.Kvstore.Client.get conn ~key:"a b" ~k:(fun _ ->
+                  Nkapps.Kvstore.Client.set conn ~key:"k" ~value:"v" ~k:(fun _ ->
+                      Nkapps.Kvstore.Client.get conn ~key:"k" ~k:(fun r ->
+                          (match r with
+                          | Ok v -> got := v
+                          | Error e -> Alcotest.failf "get k: %s" e);
+                          Nkapps.Kvstore.Client.close conn))))));
   World.run w ~until:5.0;
   Alcotest.(check (option string)) "kv roundtrip" (Some "v") !got
 
@@ -177,27 +227,23 @@ let mtcp_direct_api () =
   in
   Mtcpstack.Mtcp.add_ip mtcp ip_server;
   let api = Mtcpstack.Mtcp.api mtcp in
-  (match
-     Nkapps.Epoll_server.start ~engine:w.World.engine ~api
-       (Nkapps.Epoll_server.config ~proto:(fixed 64) (Addr.make ip_server 80))
-   with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "mtcp server: %s" (Types.err_to_string e));
-  let lg = ref None in
   ignore
-    (E.schedule w.World.engine ~delay:1e-3 (fun () ->
-         lg :=
-           Some
-             (Nkapps.Loadgen.start ~engine:w.World.engine ~api:client.World.api
-                {
-                  Nkapps.Loadgen.server = Addr.make ip_server 80;
-                  proto = fixed 64;
-                  mode =
-                    Nkapps.Loadgen.Closed { concurrency = 32; total = Some 2000; duration = None };
-                  warmup = 0.0;
-                })));
+    (Types.get_exn "mtcp server"
+       (Nkapps.Epoll_server.start ~engine:w.World.engine ~api
+          (Nkapps.Epoll_server.config ~proto:(fixed 64) (Addr.make ip_server 80))));
+  let lg =
+    Nkapps.Loadgen.start ~engine:w.World.engine ~api:client.World.api
+      ~start:(E.now w.World.engine +. 1e-3)
+      {
+        Nkapps.Loadgen.server = Addr.make ip_server 80;
+        proto = fixed 64;
+        mode =
+          Nkapps.Loadgen.Closed { concurrency = 32; total = Some 2000; duration = None };
+        warmup = 0.0;
+      }
+  in
   World.run w ~until:30.0;
-  let r = Nkapps.Loadgen.results (Option.get !lg) in
+  let r = Nkapps.Loadgen.results lg in
   Alcotest.(check int) "mtcp served all" 2000 r.Nkapps.Loadgen.completed;
   Alcotest.(check int) "no errors" 0 r.Nkapps.Loadgen.errors;
   (* all shards participated (RSS spread) *)
@@ -212,6 +258,10 @@ let mtcp_direct_api () =
 let tests =
   [
     Alcotest.test_case "loadgen completes exactly" `Quick loadgen_completes_exactly;
+    Alcotest.test_case "loadgen deferred start" `Quick loadgen_deferred_start;
+    Alcotest.test_case "loadgen deferred start is deterministic" `Quick
+      loadgen_deferred_start_deterministic;
+    Alcotest.test_case "get_exn names the failed step" `Quick get_exn_names_the_step;
     Alcotest.test_case "server/client counters agree" `Quick server_counts_match;
     Alcotest.test_case "HTTP end to end" `Quick http_end_to_end;
     Alcotest.test_case "open-loop rate" `Quick open_loop_rate;

@@ -100,28 +100,24 @@ let run_world ~ce_cores ~seed =
       ~profile:Sim.Cost_profile.ideal ()
   in
   let proto = Nkapps.Proto.Fixed { request = 64; response = 512; keepalive = false } in
-  (match
-     Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
-       (Nkapps.Epoll_server.config ~proto (Addr.make 10 80))
-   with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "server: %s" (Types.err_to_string e));
-  let lg = ref None in
   ignore
-    (Sim.Engine.schedule tb.Testbed.engine ~delay:1e-3 (fun () ->
-         lg :=
-           Some
-             (Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
-                {
-                  Nkapps.Loadgen.server = Addr.make 10 80;
-                  proto;
-                  mode =
-                    Nkapps.Loadgen.Closed
-                      { concurrency = 32; total = Some 2_000; duration = None };
-                  warmup = 0.0;
-                })));
+    (Types.get_exn "server"
+       (Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
+          (Nkapps.Epoll_server.config ~proto (Addr.make 10 80))));
+  let lg =
+    Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
+      ~start:(Sim.Engine.now tb.Testbed.engine +. 1e-3)
+      {
+        Nkapps.Loadgen.server = Addr.make 10 80;
+        proto;
+        mode =
+          Nkapps.Loadgen.Closed
+            { concurrency = 32; total = Some 2_000; duration = None };
+        warmup = 0.0;
+      }
+  in
   Testbed.run tb ~until:30.0;
-  let r = Nkapps.Loadgen.results (Option.get !lg) in
+  let r = Nkapps.Loadgen.results lg in
   let ce = Coreengine.stats (Host.coreengine hosta) in
   let shard_busy = Array.map Sim.Cpu.busy_cycles (Host.ce_cores hosta) in
   ( r.Nkapps.Loadgen.completed,
@@ -142,7 +138,7 @@ let single_shard_world_oracle () =
      bit-for-bit. The [events] count was re-captured twice since: once
      when CoreEngine started eliding same-instant duplicate owner wakes,
      and again when Link moved to lazy in-flight buffer release (no
-     per-packet release event unless a transmit hook is installed). Both
+     per-packet release event). Both
      changes remove redundant engine events only, which the unchanged
      finish time / busy cycles / switched counts confirm. *)
   let completed, errors, finished, vm, nsm, switched, events, shard_busy, _ =
@@ -197,32 +193,28 @@ let scale_out_redistributes () =
       ~profile:Sim.Cost_profile.ideal ()
   in
   let proto = Nkapps.Proto.Fixed { request = 64; response = 512; keepalive = false } in
-  (match
-     Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
-       (Nkapps.Epoll_server.config ~proto (Addr.make 10 80))
-   with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "server: %s" (Types.err_to_string e));
-  let lg = ref None in
   ignore
-    (Sim.Engine.schedule tb.Testbed.engine ~delay:1e-3 (fun () ->
-         lg :=
-           Some
-             (Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
-                {
-                  Nkapps.Loadgen.server = Addr.make 10 80;
-                  proto;
-                  mode =
-                    Nkapps.Loadgen.Closed
-                      { concurrency = 16; total = Some 1_000; duration = None };
-                  warmup = 0.0;
-                })));
+    (Types.get_exn "server"
+       (Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
+          (Nkapps.Epoll_server.config ~proto (Addr.make 10 80))));
+  let lg =
+    Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
+      ~start:(Sim.Engine.now tb.Testbed.engine +. 1e-3)
+      {
+        Nkapps.Loadgen.server = Addr.make 10 80;
+        proto;
+        mode =
+          Nkapps.Loadgen.Closed
+            { concurrency = 16; total = Some 1_000; duration = None };
+        warmup = 0.0;
+      }
+  in
   (* Grow the engine while traffic is in flight. *)
   ignore
     (Sim.Engine.schedule tb.Testbed.engine ~delay:5e-3 (fun () ->
          Host.scale_ce hosta ~add:1));
   Testbed.run tb ~until:30.0;
-  let r = Nkapps.Loadgen.results (Option.get !lg) in
+  let r = Nkapps.Loadgen.results lg in
   Alcotest.(check int) "completed" 1_000 r.Nkapps.Loadgen.completed;
   Alcotest.(check int) "errors" 0 r.Nkapps.Loadgen.errors;
   let busy = Array.map Sim.Cpu.busy_cycles (Host.ce_cores hosta) in

@@ -33,28 +33,24 @@ let run_once ?loss_seed ?(trace = false) ~seed () =
       | Some l -> Link.set_random_loss l ~rng:(Nkutil.Rng.create ~seed:ls) ~rate:0.02
       | None -> Alcotest.fail "no downlink"));
   let proto = Nkapps.Proto.Fixed { request = 64; response = 512; keepalive = false } in
-  (match
-     Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
-       (Nkapps.Epoll_server.config ~proto (Addr.make 10 80))
-   with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "server: %s" (Types.err_to_string e));
-  let lg = ref None in
   ignore
-    (Sim.Engine.schedule tb.Testbed.engine ~delay:1e-3 (fun () ->
-         lg :=
-           Some
-             (Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
-                {
-                  Nkapps.Loadgen.server = Addr.make 10 80;
-                  proto;
-                  mode =
-                    Nkapps.Loadgen.Closed
-                      { concurrency = 32; total = Some 2_000; duration = None };
-                  warmup = 0.0;
-                })));
+    (Types.get_exn "server"
+       (Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
+          (Nkapps.Epoll_server.config ~proto (Addr.make 10 80))));
+  let lg =
+    Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
+      ~start:(Sim.Engine.now tb.Testbed.engine +. 1e-3)
+      {
+        Nkapps.Loadgen.server = Addr.make 10 80;
+        proto;
+        mode =
+          Nkapps.Loadgen.Closed
+            { concurrency = 32; total = Some 2_000; duration = None };
+        warmup = 0.0;
+      }
+  in
   Testbed.run tb ~until:30.0;
-  let r = Nkapps.Loadgen.results (Option.get !lg) in
+  let r = Nkapps.Loadgen.results lg in
   let ce = Coreengine.stats (Host.coreengine hosta) in
   ( r.Nkapps.Loadgen.completed,
     r.Nkapps.Loadgen.finished,

@@ -6,10 +6,6 @@
 
 open Tcpstack
 
-let ok what = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "%s: %s" what (Types.err_to_string e)
-
 (* [api] is the layer under test; [peer] is a baseline API listening on
    [peer_addr] that accepts and sends. [run t] advances virtual time to [t]. *)
 type fixture = {
@@ -25,13 +21,13 @@ let fds evs = List.map fst evs
 
 let contract fx =
   let api = fx.api and peer = fx.peer in
-  let ls = ok "peer socket" (peer.Socket_api.socket ()) in
-  ok "peer bind" (peer.Socket_api.bind ls fx.peer_addr);
-  ok "peer listen" (peer.Socket_api.listen ls ~backlog:8);
+  let ls = Types.get_exn "peer socket" (peer.Socket_api.socket ()) in
+  Types.get_exn "peer bind" (peer.Socket_api.bind ls fx.peer_addr);
+  Types.get_exn "peer listen" (peer.Socket_api.listen ls ~backlog:8);
   let accepted = Queue.create () in
   let rec accept_loop () =
     peer.Socket_api.accept ls ~k:(fun r ->
-        Queue.add (fst (ok "peer accept" r)) accepted;
+        Queue.add (fst (Types.get_exn "peer accept" r)) accepted;
         accept_loop ())
   in
   accept_loop ();
@@ -39,7 +35,7 @@ let contract fx =
   let connect fd ~until =
     let connected = ref false in
     api.Socket_api.connect fd fx.peer_addr ~k:(fun r ->
-        ok "connect" r;
+        Types.get_exn "connect" r;
         connected := true);
     fx.run until;
     Alcotest.(check bool) "connected" true !connected;
@@ -47,8 +43,8 @@ let contract fx =
     | Some pfd -> pfd
     | None -> Alcotest.fail "peer never accepted"
   in
-  let fd1 = ok "socket" (api.Socket_api.socket ()) in
-  let fd2 = ok "socket" (api.Socket_api.socket ()) in
+  let fd1 = Types.get_exn "socket" (api.Socket_api.socket ()) in
+  let fd2 = Types.get_exn "socket" (api.Socket_api.socket ()) in
   let p1 = connect fd1 ~until:0.5 in
   let p2 = connect fd2 ~until:1.0 in
   let ep1 = api.Socket_api.epoll_create () in
@@ -69,7 +65,7 @@ let contract fx =
   fx.run 1.2;
   Alcotest.(check (option (list int))) "ep1 parked" None !w1;
   Alcotest.(check (option (list int))) "ep2 parked" None !w2;
-  peer.Socket_api.send p1 (Types.Data "hello") ~k:(fun r -> ignore (ok "peer send" r));
+  peer.Socket_api.send p1 (Types.Data "hello") ~k:(fun r -> ignore (Types.get_exn "peer send" r));
   fx.run 1.5;
   delivered "ep1 woken" w1 [ fd1 ];
   delivered "ep2 woken" w2 [ fd1 ];
@@ -83,7 +79,7 @@ let contract fx =
   delivered "ep2 still delivers" w2 [ fd1 ];
   (* The ready set comes back in ascending fd order, whatever order the fds
      were added or became ready in. *)
-  peer.Socket_api.send p2 (Types.Data "world") ~k:(fun r -> ignore (ok "peer send" r));
+  peer.Socket_api.send p2 (Types.Data "world") ~k:(fun r -> ignore (Types.get_exn "peer send" r));
   fx.run 2.3;
   api.Socket_api.epoll_add ep1 fd2 ~mask:readable;
   api.Socket_api.epoll_add ep1 fd1 ~mask:readable;

@@ -14,20 +14,14 @@ let conns nsm =
     (fun acc (s : Tcpstack.Stack.stats) -> acc + s.Tcpstack.Stack.conns_established)
     0 (Nsm.stack_stats nsm)
 
-let run_loadgen tb client_api ~addr ~total ~delay =
-  let lg = ref None in
-  ignore
-    (Sim.Engine.schedule tb.Testbed.engine ~delay (fun () ->
-         lg :=
-           Some
-             (Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:client_api
-                {
-                  Nkapps.Loadgen.server = addr;
-                  proto = fixed64;
-                  mode = Nkapps.Loadgen.Closed { concurrency = 16; total = Some total; duration = None };
-                  warmup = 0.0;
-                })));
-  lg
+let run_loadgen tb client_api ~addr ~total ~start =
+  Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:client_api ~start
+    {
+      Nkapps.Loadgen.server = addr;
+      proto = fixed64;
+      mode = Nkapps.Loadgen.Closed { concurrency = 16; total = Some total; duration = None };
+      warmup = 0.0;
+    }
 
 let switch_nsm_on_the_fly () =
   let tb = Testbed.create () in
@@ -41,30 +35,26 @@ let switch_nsm_on_the_fly () =
       ~profile:Sim.Cost_profile.ideal ()
   in
   (* Server on port 80 while attached to NSM1. *)
-  (match
-     Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
-       (Nkapps.Epoll_server.config ~proto:fixed64 (Addr.make ip_vm 80))
-   with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "server1: %s" (Types.err_to_string e));
-  let lg1 = run_loadgen tb (Vm.api client) ~addr:(Addr.make ip_vm 80) ~total:500 ~delay:1e-3 in
+  ignore
+    (Types.get_exn "server1"
+       (Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
+          (Nkapps.Epoll_server.config ~proto:fixed64 (Addr.make ip_vm 80))));
+  let lg1 = run_loadgen tb (Vm.api client) ~addr:(Addr.make ip_vm 80) ~total:500 ~start:1e-3 in
   (* After the first batch, the operator live-migrates the VM to NSM2 and
      the tenant opens a new listener. *)
   ignore
     (Sim.Engine.schedule tb.Testbed.engine ~delay:0.5 (fun () ->
          Vm.attach_nsm vm nsm2;
-         match
-           Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
-             (Nkapps.Epoll_server.config ~proto:fixed64 (Addr.make ip_vm 81))
-         with
-         | Ok _ -> ()
-         | Error e -> Alcotest.failf "server2: %s" (Types.err_to_string e)));
-  let lg2 = run_loadgen tb (Vm.api client) ~addr:(Addr.make ip_vm 81) ~total:500 ~delay:0.6 in
+         ignore
+           (Types.get_exn "server2"
+              (Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
+                 (Nkapps.Epoll_server.config ~proto:fixed64 (Addr.make ip_vm 81))))));
+  let lg2 = run_loadgen tb (Vm.api client) ~addr:(Addr.make ip_vm 81) ~total:500 ~start:0.6 in
   Testbed.run tb ~until:30.0;
   Alcotest.(check int) "port 80 served" 500
-    (Nkapps.Loadgen.results (Option.get !lg1)).Nkapps.Loadgen.completed;
+    (Nkapps.Loadgen.results lg1).Nkapps.Loadgen.completed;
   Alcotest.(check int) "port 81 served" 500
-    (Nkapps.Loadgen.results (Option.get !lg2)).Nkapps.Loadgen.completed;
+    (Nkapps.Loadgen.results lg2).Nkapps.Loadgen.completed;
   if conns nsm1 < 500 then Alcotest.failf "nsm1 should carry batch 1 (%d)" (conns nsm1);
   if conns nsm2 < 500 then Alcotest.failf "nsm2 should carry batch 2 (%d)" (conns nsm2)
 
@@ -100,9 +90,8 @@ let drain_handover_preserves_streams () =
       ~profile:Sim.Cost_profile.ideal ()
   in
   let addr = Addr.make ip_vm 6379 in
-  (match Nkapps.Kvstore.start ~engine:tb.Testbed.engine ~api:(Vm.api vm) ~addr with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "kv: %s" (Types.err_to_string e));
+  ignore
+    (Types.get_exn "kv" (Nkapps.Kvstore.start ~engine:tb.Testbed.engine ~api:(Vm.api vm) ~addr));
   let big = String.init 300_000 (fun i -> Char.chr (33 + ((i * 7) mod 90))) in
   let got = ref None in
   let handover_time = ref nan in
@@ -112,19 +101,17 @@ let drain_handover_preserves_streams () =
          Nkapps.Kvstore.Client.connect ~engine:tb.Testbed.engine ~api:(Vm.api client)
            addr
            ~k:(fun r ->
-             match r with
-             | Error e -> Alcotest.failf "connect: %s" (Types.err_to_string e)
-             | Ok conn ->
-                 Nkapps.Kvstore.Client.set conn ~key:"blob" ~value:big ~k:(fun r ->
+             let conn = Types.get_exn "connect" r in
+             Nkapps.Kvstore.Client.set conn ~key:"blob" ~value:big ~k:(fun r ->
+                 (match r with
+                 | Ok () -> ()
+                 | Error e -> Alcotest.failf "set: %s" e);
+                 Nkapps.Kvstore.Client.get conn ~key:"blob" ~k:(fun r ->
                      (match r with
-                     | Ok () -> ()
-                     | Error e -> Alcotest.failf "set: %s" e);
-                     Nkapps.Kvstore.Client.get conn ~key:"blob" ~k:(fun r ->
-                         (match r with
-                         | Ok v -> got := v
-                         | Error e -> Alcotest.failf "get: %s" e);
-                         bulk_done_time := Testbed.now tb;
-                         Nkapps.Kvstore.Client.close conn)))));
+                     | Ok v -> got := v
+                     | Error e -> Alcotest.failf "get: %s" e);
+                     bulk_done_time := Testbed.now tb;
+                     Nkapps.Kvstore.Client.close conn)))));
   (* Handover mid-transfer. *)
   ignore
     (Sim.Engine.schedule tb.Testbed.engine ~delay:2e-3 (fun () ->
@@ -137,16 +124,14 @@ let drain_handover_preserves_streams () =
          Nkapps.Kvstore.Client.connect ~engine:tb.Testbed.engine ~api:(Vm.api client)
            addr
            ~k:(fun r ->
-             match r with
-             | Error e -> Alcotest.failf "post connect: %s" (Types.err_to_string e)
-             | Ok conn ->
-                 Nkapps.Kvstore.Client.set conn ~key:"after" ~value:"handover"
-                   ~k:(fun _ ->
-                     Nkapps.Kvstore.Client.get conn ~key:"after" ~k:(fun r ->
-                         (match r with
-                         | Ok v -> post := v
-                         | Error e -> Alcotest.failf "post get: %s" e);
-                         Nkapps.Kvstore.Client.close conn)))));
+             let conn = Types.get_exn "post connect" r in
+             Nkapps.Kvstore.Client.set conn ~key:"after" ~value:"handover"
+               ~k:(fun _ ->
+                 Nkapps.Kvstore.Client.get conn ~key:"after" ~k:(fun r ->
+                     (match r with
+                     | Ok v -> post := v
+                     | Error e -> Alcotest.failf "post get: %s" e);
+                     Nkapps.Kvstore.Client.close conn)))));
   Testbed.run tb ~until:30.0;
   (match !got with
   | Some v ->
@@ -187,25 +172,24 @@ let detach_nsm_stops_new_sockets () =
     Vm.create_baseline hostb ~name:"server" ~vcpus:8 ~ips:[ ip_client ]
       ~profile:Sim.Cost_profile.ideal ()
   in
-  (match
-     Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api server_vm)
-       (Nkapps.Epoll_server.config ~proto:fixed64 (Addr.make ip_client 80))
-   with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "server: %s" (Types.err_to_string e));
+  ignore
+    (Types.get_exn "server"
+       (Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api server_vm)
+          (Nkapps.Epoll_server.config ~proto:fixed64 (Addr.make ip_client 80))));
   (* Batch 1: round-robin placement spreads the VM's sockets over both. *)
-  let lg1 = run_loadgen tb (Vm.api vm) ~addr:(Addr.make ip_client 80) ~total:200 ~delay:1e-3 in
+  let lg1 = run_loadgen tb (Vm.api vm) ~addr:(Addr.make ip_client 80) ~total:200 ~start:1e-3 in
   Testbed.run tb ~until:5.0;
   Alcotest.(check int) "batch 1 served" 200
-    (Nkapps.Loadgen.results (Option.get !lg1)).Nkapps.Loadgen.completed;
+    (Nkapps.Loadgen.results lg1).Nkapps.Loadgen.completed;
   let nsm2_before = conns nsm2 in
   if conns nsm1 = 0 || nsm2_before = 0 then
     Alcotest.fail "both NSMs should carry sockets before the detach";
   Vm.detach_nsm vm nsm2;
-  let lg2 = run_loadgen tb (Vm.api vm) ~addr:(Addr.make ip_client 80) ~total:200 ~delay:0.0 in
+  let lg2 = run_loadgen tb (Vm.api vm) ~addr:(Addr.make ip_client 80) ~total:200
+      ~start:(Testbed.now tb) in
   Testbed.run tb ~until:10.0;
   Alcotest.(check int) "batch 2 served" 200
-    (Nkapps.Loadgen.results (Option.get !lg2)).Nkapps.Loadgen.completed;
+    (Nkapps.Loadgen.results lg2).Nkapps.Loadgen.completed;
   Alcotest.(check int) "detached NSM got no new sockets" nsm2_before (conns nsm2)
 
 let nk_world ~costs =
@@ -221,33 +205,26 @@ let nk_world ~costs =
   (tb, hosta, vm, client)
 
 let rps_run tb vm client ~total =
-  (match
-     Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
-       (Nkapps.Epoll_server.config ~proto:fixed64 (Addr.make ip_vm 80))
-   with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "server: %s" (Types.err_to_string e));
-  let lg = run_loadgen tb (Vm.api client) ~addr:(Addr.make ip_vm 80) ~total ~delay:1e-3 in
+  ignore
+    (Types.get_exn "server"
+       (Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
+          (Nkapps.Epoll_server.config ~proto:fixed64 (Addr.make ip_vm 80))));
+  let lg = run_loadgen tb (Vm.api client) ~addr:(Addr.make ip_vm 80) ~total ~start:1e-3 in
   Testbed.run tb ~until:30.0;
-  Nkapps.Loadgen.results (Option.get !lg)
+  Nkapps.Loadgen.results lg
 
 let zerocopy_reduces_nsm_cycles () =
   let tput costs =
     let tb, hosta, vm, client = nk_world ~costs in
     ignore hosta;
     let sink =
-      match
-        Nkapps.Stream.sink ~engine:tb.Testbed.engine ~api:(Vm.api client)
-          ~addr:(Addr.make ip_client 5001)
-      with
-      | Ok s -> s
-      | Error e -> Alcotest.failf "sink: %s" (Types.err_to_string e)
+      Types.get_exn "sink"
+        (Nkapps.Stream.sink ~engine:tb.Testbed.engine ~api:(Vm.api client)
+           ~addr:(Addr.make ip_client 5001))
     in
     ignore
-      (Sim.Engine.schedule tb.Testbed.engine ~delay:1e-3 (fun () ->
-           ignore
-             (Nkapps.Stream.senders ~engine:tb.Testbed.engine ~api:(Vm.api vm)
-                ~dst:(Addr.make ip_client 5001) ~streams:8 ~msg_size:16384 ~stop:0.5 ())));
+      (Nkapps.Stream.senders ~engine:tb.Testbed.engine ~api:(Vm.api vm)
+         ~dst:(Addr.make ip_client 5001) ~streams:8 ~msg_size:16384 ~start:1e-3 ~stop:0.5 ());
     Testbed.run tb ~until:0.6;
     Nkapps.Stream.sink_throughput_gbps sink
   in

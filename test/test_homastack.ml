@@ -10,10 +10,6 @@ module Stack_ops = Tcpstack.Stack_ops
 module Homa = Homastack.Homa
 module Hcb = Homastack.Hcb
 
-let ok what = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "%s: %s" what (Types.err_to_string e)
-
 (* ---- a minimal one-vswitch world of raw Homa stacks --------------------- *)
 
 type world = {
@@ -59,7 +55,7 @@ let message_ordering () =
   let cli = add_node w ~name:"cli" ~ip:2 () in
   let accepted = ref None in
   ignore
-    (ok "listen"
+    (Types.get_exn "listen"
        (srv.ops.Stack_ops.new_listener ~addr:(Addr.make 1 80) ~backlog:0
           ~on_accept:(fun conn ~peer:_ -> accepted := Some conn)));
   let conn = connect w cli ~dst:(Addr.make 1 80) in
@@ -68,7 +64,7 @@ let message_ordering () =
   List.iter
     (fun m ->
       cli.ops.Stack_ops.send conn (Types.Data m) ~k:(fun r ->
-          if ok "send" r <> String.length m then Alcotest.fail "partial message send"))
+          if Types.get_exn "send" r <> String.length m then Alcotest.fail "partial message send"))
     msgs;
   E.run w.engine ~until:(E.now w.engine +. 1.0);
   let sconn = match !accepted with Some c -> c | None -> Alcotest.fail "no accept" in
@@ -101,18 +97,19 @@ let run_srpt_scenario () =
   let cli = add_node w ~name:"cli" ~ip:2 ~cfg:slow_cfg () in
   let accepted = ref [] in
   ignore
-    (ok "listen"
+    (Types.get_exn "listen"
        (srv.ops.Stack_ops.new_listener ~addr:(Addr.make 1 80) ~backlog:0
           ~on_accept:(fun conn ~peer:_ -> accepted := conn :: !accepted)));
   let long = 400_000 and short = 30_000 in
   let c_long = connect w cli ~dst:(Addr.make 1 80) in
   let c_short = connect w cli ~dst:(Addr.make 1 80) in
   let t0 = E.now w.engine in
-  cli.ops.Stack_ops.send c_long (Types.Zeros long) ~k:(fun r -> ignore (ok "send long" r));
+  cli.ops.Stack_ops.send c_long (Types.Zeros long) ~k:(fun r ->
+      ignore (Types.get_exn "send long" r));
   ignore
     (E.schedule w.engine ~delay:2e-4 (fun () ->
          cli.ops.Stack_ops.send c_short (Types.Zeros short) ~k:(fun r ->
-             ignore (ok "send short" r))));
+             ignore (Types.get_exn "send short" r))));
   (* Poll both accepted conns: a message only becomes readable when complete,
      so the first non-empty recv timestamps its completion. *)
   let done_at = ref [] in
@@ -171,31 +168,31 @@ let export_roundtrip =
       let spare = add_node w ~name:"spare" () in
       let accepted = ref None in
       ignore
-        (ok "listen"
+        (Types.get_exn "listen"
            (srv.ops.Stack_ops.new_listener ~addr:(Addr.make 1 80) ~backlog:0
               ~on_accept:(fun conn ~peer:_ -> accepted := Some conn)));
       let conn = connect w cli ~dst:(Addr.make 1 80) in
       cli.ops.Stack_ops.send conn (Types.Zeros (n1 + 1)) ~k:(fun r ->
-          ignore (ok "client send" r));
+          ignore (Types.get_exn "client send" r));
       (match !accepted with
       | Some sc ->
           srv.ops.Stack_ops.send sc (Types.Zeros (n2 + 1)) ~k:(fun r ->
-              ignore (ok "server send" r))
+              ignore (Types.get_exn "server send" r))
       | None -> Alcotest.fail "no accept");
       (* Cut at a varying instant so the snapshot catches unscheduled bytes,
          granted-but-unsent tails, and incomplete inbound messages. *)
       E.run w.engine ~until:(E.now w.engine +. (float_of_int cut *. 2e-6));
       (* Partially drain the client's inbound side when something is ready. *)
       cli.ops.Stack_ops.recv conn ~max:(1 + (n2 / 2)) ~mode:`Discard ~k:(fun _ -> ());
-      let e = ok "export" (cli.ops.Stack_ops.export_conn conn) in
+      let e = Types.get_exn "export" (cli.ops.Stack_ops.export_conn conn) in
       let s1 =
         match e.Stack_ops.e_payload with
         | Homa.Homa_state s -> s
         | _ -> Alcotest.fail "export is not a homa snapshot"
       in
       Alcotest.(check string) "protocol tag" Homa.proto e.Stack_ops.e_proto;
-      let conn2 = ok "import" (spare.ops.Stack_ops.import_conn e) in
-      let e2 = ok "re-export" (spare.ops.Stack_ops.export_conn conn2) in
+      let conn2 = Types.get_exn "import" (spare.ops.Stack_ops.import_conn e) in
+      let e2 = Types.get_exn "re-export" (spare.ops.Stack_ops.export_conn conn2) in
       let s2 =
         match e2.Stack_ops.e_payload with
         | Homa.Homa_state s -> s
@@ -233,28 +230,24 @@ let live_protocol_handover () =
   Nkctl.add_vm ctl cli ~home:nsm_tcp;
   let proto = Nkapps.Proto.Fixed { request = 128; response = 512; keepalive = false } in
   let addr = Addr.make 10 80 in
-  (match
-     Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api srv)
-       (Nkapps.Epoll_server.config ~proto addr)
-   with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "server: %s" (Types.err_to_string e));
-  let lg = ref None in
   ignore
-    (E.schedule tb.Testbed.engine ~delay:1e-3 (fun () ->
-         lg :=
-           Some
-             (Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api cli)
-                {
-                  Nkapps.Loadgen.server = addr;
-                  proto;
-                  mode =
-                    Nkapps.Loadgen.Closed
-                      { concurrency = 2; total = None; duration = Some 2.0 };
-                  warmup = 0.0;
-                })));
+    (Types.get_exn "server"
+       (Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api srv)
+          (Nkapps.Epoll_server.config ~proto addr)));
+  let lg =
+    Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api cli)
+      ~start:(E.now tb.Testbed.engine +. 1e-3)
+      {
+        Nkapps.Loadgen.server = addr;
+        proto;
+        mode =
+          Nkapps.Loadgen.Closed
+            { concurrency = 2; total = None; duration = Some 2.0 };
+        warmup = 0.0;
+      }
+  in
   Testbed.run tb ~until:0.5;
-  let before = (Nkapps.Loadgen.results (Option.get !lg)).Nkapps.Loadgen.completed in
+  let before = (Nkapps.Loadgen.results lg).Nkapps.Loadgen.completed in
   if before = 0 then Alcotest.fail "no requests served over TCP before the switch";
   let nsm_homa = Nsm.create_homa host ~name:"nsm-homa" ~vcpus:1 () in
   Alcotest.(check string) "homa NSM protocol id" "homa" (Nsm.proto nsm_homa);
@@ -270,7 +263,7 @@ let live_protocol_handover () =
     Testbed.run tb ~until:!t;
     Nkctl.tick ctl
   done;
-  let r = Nkapps.Loadgen.results (Option.get !lg) in
+  let r = Nkapps.Loadgen.results lg in
   if r.Nkapps.Loadgen.completed <= before then
     Alcotest.failf "service stalled across the handover (%d before, %d after)" before
       r.Nkapps.Loadgen.completed;

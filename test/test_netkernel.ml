@@ -39,30 +39,27 @@ let kv_over_netkernel () =
   let tb, _host, _nsm, vms, client = nk_world () in
   let vm = List.hd vms in
   let addr = Addr.make ip_vm 6379 in
-  (match Nkapps.Kvstore.start ~engine:tb.Testbed.engine ~api:(Vm.api vm) ~addr with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "kv start: %s" (Types.err_to_string e));
+  ignore
+    (Types.get_exn "kv start" (Nkapps.Kvstore.start ~engine:tb.Testbed.engine ~api:(Vm.api vm) ~addr));
   let got = ref None and deleted = ref None and miss = ref None in
   Nkapps.Kvstore.Client.connect ~engine:tb.Testbed.engine ~api:(Vm.api client) addr
     ~k:(fun r ->
-      match r with
-      | Error e -> Alcotest.failf "kv connect: %s" (Types.err_to_string e)
-      | Ok conn ->
-          Nkapps.Kvstore.Client.set conn ~key:"paper" ~value:"netkernel atc20" ~k:(fun r ->
-              (match r with Ok () -> () | Error e -> Alcotest.failf "set: %s" e);
-              Nkapps.Kvstore.Client.get conn ~key:"paper" ~k:(fun r ->
+      let conn = Types.get_exn "kv connect" r in
+      Nkapps.Kvstore.Client.set conn ~key:"paper" ~value:"netkernel atc20" ~k:(fun r ->
+          (match r with Ok () -> () | Error e -> Alcotest.failf "set: %s" e);
+          Nkapps.Kvstore.Client.get conn ~key:"paper" ~k:(fun r ->
+              (match r with
+              | Ok v -> got := v
+              | Error e -> Alcotest.failf "get: %s" e);
+              Nkapps.Kvstore.Client.del conn ~key:"paper" ~k:(fun r ->
                   (match r with
-                  | Ok v -> got := v
-                  | Error e -> Alcotest.failf "get: %s" e);
-                  Nkapps.Kvstore.Client.del conn ~key:"paper" ~k:(fun r ->
+                  | Ok b -> deleted := Some b
+                  | Error e -> Alcotest.failf "del: %s" e);
+                  Nkapps.Kvstore.Client.get conn ~key:"paper" ~k:(fun r ->
                       (match r with
-                      | Ok b -> deleted := Some b
-                      | Error e -> Alcotest.failf "del: %s" e);
-                      Nkapps.Kvstore.Client.get conn ~key:"paper" ~k:(fun r ->
-                          (match r with
-                          | Ok v -> miss := Some v
-                          | Error e -> Alcotest.failf "get2: %s" e);
-                          Nkapps.Kvstore.Client.close conn)))));
+                      | Ok v -> miss := Some v
+                      | Error e -> Alcotest.failf "get2: %s" e);
+                      Nkapps.Kvstore.Client.close conn)))));
   Testbed.run tb ~until:2.0;
   Alcotest.(check (option string)) "value through NetKernel" (Some "netkernel atc20") !got;
   Alcotest.(check (option bool)) "deleted" (Some true) !deleted;
@@ -71,31 +68,23 @@ let kv_over_netkernel () =
 (* Start the client a moment after the server so listeners are installed
    before the first SYN (as in any real deployment). *)
 let delayed_loadgen tb client_api ~addr ~total ~concurrency =
-  let lg = ref None in
-  ignore
-    (Sim.Engine.schedule tb.Testbed.engine ~delay:1e-3 (fun () ->
-         lg :=
-           Some
-             (Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:client_api
-                {
-                  Nkapps.Loadgen.server = addr;
-                  proto = fixed64;
-                  mode =
-                    Nkapps.Loadgen.Closed { concurrency; total = Some total; duration = None };
-                  warmup = 0.0;
-                })));
-  lg
+  Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:client_api
+    ~start:(Sim.Engine.now tb.Testbed.engine +. 1e-3)
+    {
+      Nkapps.Loadgen.server = addr;
+      proto = fixed64;
+      mode = Nkapps.Loadgen.Closed { concurrency; total = Some total; duration = None };
+      warmup = 0.0;
+    }
 
 let loadgen_against server_api client_api tb ~addr ~total ~concurrency =
-  (match
-     Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:server_api
-       (Nkapps.Epoll_server.config ~proto:fixed64 addr)
-   with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "server start: %s" (Types.err_to_string e));
+  ignore
+    (Types.get_exn "server start"
+       (Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:server_api
+          (Nkapps.Epoll_server.config ~proto:fixed64 addr)));
   let lg = delayed_loadgen tb client_api ~addr ~total ~concurrency in
   Testbed.run tb ~until:30.0;
-  Nkapps.Loadgen.results (Option.get !lg)
+  Nkapps.Loadgen.results lg
 
 let rps_over_netkernel () =
   let tb, _host, _nsm, vms, client = nk_world () in
@@ -159,25 +148,21 @@ let multiplexing_two_vms_one_nsm () =
   ignore nsm;
   let vm1, vm2 = (List.nth vms 0, List.nth vms 1) in
   (* Two different "applications" multiplexed on one NSM. *)
-  (match
-     Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm1)
-       (Nkapps.Epoll_server.config ~proto:fixed64 (Addr.make ip_vm 80))
-   with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "server1: %s" (Types.err_to_string e));
-  (match
-     Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm2)
-       (Nkapps.Epoll_server.config ~proto:fixed64 (Addr.make ip_vm2 80))
-   with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "server2: %s" (Types.err_to_string e));
+  ignore
+    (Types.get_exn "server1"
+       (Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm1)
+          (Nkapps.Epoll_server.config ~proto:fixed64 (Addr.make ip_vm 80))));
+  ignore
+    (Types.get_exn "server2"
+       (Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm2)
+          (Nkapps.Epoll_server.config ~proto:fixed64 (Addr.make ip_vm2 80))));
   let lg1 = delayed_loadgen tb (Vm.api client) ~addr:(Addr.make ip_vm 80) ~total:1000 ~concurrency:16 in
   let lg2 = delayed_loadgen tb (Vm.api client) ~addr:(Addr.make ip_vm2 80) ~total:1000 ~concurrency:16 in
   Testbed.run tb ~until:30.0;
   Alcotest.(check int) "vm1 requests" 1000
-    (Nkapps.Loadgen.results (Option.get !lg1)).Nkapps.Loadgen.completed;
+    (Nkapps.Loadgen.results lg1).Nkapps.Loadgen.completed;
   Alcotest.(check int) "vm2 requests" 1000
-    (Nkapps.Loadgen.results (Option.get !lg2)).Nkapps.Loadgen.completed
+    (Nkapps.Loadgen.results lg2).Nkapps.Loadgen.completed
 
 let multi_nsm_per_socket_spread () =
   (* One VM served by two NSMs; its two listeners land on different NSMs
@@ -194,20 +179,18 @@ let multi_nsm_per_socket_spread () =
   in
   List.iter
     (fun port ->
-      match
-        Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
-          (Nkapps.Epoll_server.config ~proto:fixed64 (Addr.make ip_vm port))
-      with
-      | Ok _ -> ()
-      | Error e -> Alcotest.failf "server on %d: %s" port (Types.err_to_string e))
+      ignore
+        (Types.get_exn (Printf.sprintf "server on %d" port)
+           (Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
+              (Nkapps.Epoll_server.config ~proto:fixed64 (Addr.make ip_vm port)))))
     [ 80; 81 ];
   let lg1 = delayed_loadgen tb (Vm.api client) ~addr:(Addr.make ip_vm 80) ~total:500 ~concurrency:8 in
   let lg2 = delayed_loadgen tb (Vm.api client) ~addr:(Addr.make ip_vm 81) ~total:500 ~concurrency:8 in
   Testbed.run tb ~until:30.0;
   Alcotest.(check int) "port 80 done" 500
-    (Nkapps.Loadgen.results (Option.get !lg1)).Nkapps.Loadgen.completed;
+    (Nkapps.Loadgen.results lg1).Nkapps.Loadgen.completed;
   Alcotest.(check int) "port 81 done" 500
-    (Nkapps.Loadgen.results (Option.get !lg2)).Nkapps.Loadgen.completed;
+    (Nkapps.Loadgen.results lg2).Nkapps.Loadgen.completed;
   let conns nsm =
     List.fold_left
       (fun acc (s : Tcpstack.Stack.stats) -> acc + s.Tcpstack.Stack.conns_established)
@@ -224,23 +207,20 @@ let shmem_nsm_copies_data () =
   let vm1 = Vm.create_nk host ~name:"vm1" ~vcpus:2 ~ips:[ ip_vm ] ~nsms:[ nsm ] () in
   let vm2 = Vm.create_nk host ~name:"vm2" ~vcpus:2 ~ips:[ ip_vm2 ] ~nsms:[ nsm ] () in
   let addr = Addr.make ip_vm2 9000 in
-  (match Nkapps.Kvstore.start ~engine:tb.Testbed.engine ~api:(Vm.api vm2) ~addr with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "kv start: %s" (Types.err_to_string e));
+  ignore
+    (Types.get_exn "kv start" (Nkapps.Kvstore.start ~engine:tb.Testbed.engine ~api:(Vm.api vm2) ~addr));
   let got = ref None in
   ignore
     (Sim.Engine.schedule tb.Testbed.engine ~delay:1e-3 (fun () ->
   Nkapps.Kvstore.Client.connect ~engine:tb.Testbed.engine ~api:(Vm.api vm1) addr
     ~k:(fun r ->
-      match r with
-      | Error e -> Alcotest.failf "connect over shmem: %s" (Types.err_to_string e)
-      | Ok conn ->
-          Nkapps.Kvstore.Client.set conn ~key:"k" ~value:"shared memory networking"
-            ~k:(fun r ->
-              (match r with Ok () -> () | Error e -> Alcotest.failf "set: %s" e);
-              Nkapps.Kvstore.Client.get conn ~key:"k" ~k:(fun r ->
-                  (match r with Ok v -> got := v | Error e -> Alcotest.failf "get: %s" e);
-                  Nkapps.Kvstore.Client.close conn)))));
+      let conn = Types.get_exn "connect over shmem" r in
+      Nkapps.Kvstore.Client.set conn ~key:"k" ~value:"shared memory networking"
+        ~k:(fun r ->
+          (match r with Ok () -> () | Error e -> Alcotest.failf "set: %s" e);
+          Nkapps.Kvstore.Client.get conn ~key:"k" ~k:(fun r ->
+              (match r with Ok v -> got := v | Error e -> Alcotest.failf "get: %s" e);
+              Nkapps.Kvstore.Client.close conn)))));
   Testbed.run tb ~until:2.0;
   Alcotest.(check (option string)) "value over shmem NSM" (Some "shared memory networking")
     !got;
@@ -255,11 +235,8 @@ let rate_limit_caps_throughput () =
     ~bytes_per_sec:(1e9 /. 8.0);
   let sink_addr = Addr.make ip_client 5001 in
   let sink =
-    match
-      Nkapps.Stream.sink ~engine:tb.Testbed.engine ~api:(Vm.api client) ~addr:sink_addr
-    with
-    | Ok s -> s
-    | Error e -> Alcotest.failf "sink: %s" (Types.err_to_string e)
+    Types.get_exn "sink"
+      (Nkapps.Stream.sink ~engine:tb.Testbed.engine ~api:(Vm.api client) ~addr:sink_addr)
   in
   let _senders =
     Nkapps.Stream.senders ~engine:tb.Testbed.engine ~api:(Vm.api vm) ~dst:sink_addr

@@ -29,9 +29,8 @@ let lossy_kv_bulk () =
   | Some l -> Link.set_random_loss l ~rng:(Nkutil.Rng.create ~seed:4) ~rate:0.01
   | None -> Alcotest.fail "no downlink B");
   let addr = Addr.make 10 6379 in
-  (match Nkapps.Kvstore.start ~engine:tb.Testbed.engine ~api:(Vm.api vm) ~addr with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "kv: %s" (Types.err_to_string e));
+  ignore
+    (Types.get_exn "kv" (Nkapps.Kvstore.start ~engine:tb.Testbed.engine ~api:(Vm.api vm) ~addr));
   (* A value big enough to span many segments, with non-trivial content. *)
   let big = String.init 300_000 (fun i -> Char.chr (33 + ((i * 7) mod 90))) in
   let got = ref None in
@@ -39,18 +38,16 @@ let lossy_kv_bulk () =
     (E.schedule tb.Testbed.engine ~delay:1e-3 (fun () ->
          Nkapps.Kvstore.Client.connect ~engine:tb.Testbed.engine ~api:(Vm.api client) addr
            ~k:(fun r ->
-             match r with
-             | Error e -> Alcotest.failf "connect: %s" (Types.err_to_string e)
-             | Ok conn ->
-                 Nkapps.Kvstore.Client.set conn ~key:"blob" ~value:big ~k:(fun r ->
+             let conn = Types.get_exn "connect" r in
+             Nkapps.Kvstore.Client.set conn ~key:"blob" ~value:big ~k:(fun r ->
+                 (match r with
+                 | Ok () -> ()
+                 | Error e -> Alcotest.failf "set: %s" e);
+                 Nkapps.Kvstore.Client.get conn ~key:"blob" ~k:(fun r ->
                      (match r with
-                     | Ok () -> ()
-                     | Error e -> Alcotest.failf "set: %s" e);
-                     Nkapps.Kvstore.Client.get conn ~key:"blob" ~k:(fun r ->
-                         (match r with
-                         | Ok v -> got := v
-                         | Error e -> Alcotest.failf "get: %s" e);
-                         Nkapps.Kvstore.Client.close conn)))));
+                     | Ok v -> got := v
+                     | Error e -> Alcotest.failf "get: %s" e);
+                     Nkapps.Kvstore.Client.close conn)))));
   Testbed.run tb ~until:60.0;
   match !got with
   | Some v ->
@@ -74,27 +71,23 @@ let loadgen_under_loss () =
   | Some l -> Link.set_random_loss l ~rng:(Nkutil.Rng.create ~seed:9) ~rate:0.005
   | None -> Alcotest.fail "no downlink");
   let proto = Nkapps.Proto.Fixed { request = 64; response = 64; keepalive = false } in
-  (match
-     Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
-       (Nkapps.Epoll_server.config ~proto (Addr.make 10 80))
-   with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "server: %s" (Types.err_to_string e));
-  let lg = ref None in
   ignore
-    (E.schedule tb.Testbed.engine ~delay:1e-3 (fun () ->
-         lg :=
-           Some
-             (Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
-                {
-                  Nkapps.Loadgen.server = Addr.make 10 80;
-                  proto;
-                  mode =
-                    Nkapps.Loadgen.Closed { concurrency = 8; total = Some 400; duration = None };
-                  warmup = 0.0;
-                })));
+    (Types.get_exn "server"
+       (Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
+          (Nkapps.Epoll_server.config ~proto (Addr.make 10 80))));
+  let lg =
+    Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
+      ~start:(E.now tb.Testbed.engine +. 1e-3)
+      {
+        Nkapps.Loadgen.server = Addr.make 10 80;
+        proto;
+        mode =
+          Nkapps.Loadgen.Closed { concurrency = 8; total = Some 400; duration = None };
+        warmup = 0.0;
+      }
+  in
   Testbed.run tb ~until:120.0;
-  let r = Nkapps.Loadgen.results (Option.get !lg) in
+  let r = Nkapps.Loadgen.results lg in
   Alcotest.(check int) "all requests completed despite loss" 400
     r.Nkapps.Loadgen.completed;
   Alcotest.(check int) "no errors" 0 r.Nkapps.Loadgen.errors

@@ -26,19 +26,16 @@ let deregister_nsm_cleans_tables () =
       ~profile:Sim.Cost_profile.ideal ()
   in
   let addr = Addr.make 10 6379 in
-  (match Nkapps.Kvstore.start ~engine:tb.Testbed.engine ~api:(Vm.api vm) ~addr with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "kv: %s" (Types.err_to_string e));
+  ignore
+    (Types.get_exn "kv" (Nkapps.Kvstore.start ~engine:tb.Testbed.engine ~api:(Vm.api vm) ~addr));
   ignore
     (E.schedule tb.Testbed.engine ~delay:1e-3 (fun () ->
          Nkapps.Kvstore.Client.connect ~engine:tb.Testbed.engine ~api:(Vm.api client)
            addr
            ~k:(fun r ->
-             match r with
-             | Error e -> Alcotest.failf "connect: %s" (Types.err_to_string e)
-             | Ok conn ->
-                 Nkapps.Kvstore.Client.set conn ~key:"k" ~value:"v" ~k:(fun _ ->
-                     Nkapps.Kvstore.Client.close conn))));
+             let conn = Types.get_exn "connect" r in
+             Nkapps.Kvstore.Client.set conn ~key:"k" ~value:"v" ~k:(fun _ ->
+                 Nkapps.Kvstore.Client.close conn))));
   Testbed.run tb ~until:1.0;
   let ce = Host.coreengine hosta in
   let id = Nsm.id nsm in
@@ -82,34 +79,30 @@ let autoscale_up_then_down () =
       ~profile:Sim.Cost_profile.ideal ()
   in
   let proto = Nkapps.Proto.Fixed { request = 256; response = 4096; keepalive = false } in
-  (match
-     Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
-       (Nkapps.Epoll_server.config ~proto (Addr.make 10 80))
-   with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "server: %s" (Types.err_to_string e));
-  let lg = ref None in
   ignore
-    (E.schedule tb.Testbed.engine ~delay:1e-3 (fun () ->
-         lg :=
-           Some
-             (Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
-                {
-                  Nkapps.Loadgen.server = Addr.make 10 80;
-                  proto;
-                  mode =
-                    Nkapps.Loadgen.Open
-                      {
-                        (* spike for 2.5 s, then a near-idle trough *)
-                        rate_at = (fun t -> if t < 2.5 then 60_000.0 else 200.0);
-                        duration = 6.0;
-                      };
-                  warmup = 0.0;
-                })));
+    (Types.get_exn "server"
+       (Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
+          (Nkapps.Epoll_server.config ~proto (Addr.make 10 80))));
+  let lg =
+    Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
+      ~start:(E.now tb.Testbed.engine +. 1e-3)
+      {
+        Nkapps.Loadgen.server = Addr.make 10 80;
+        proto;
+        mode =
+          Nkapps.Loadgen.Open
+            {
+              (* spike for 2.5 s, then a near-idle trough *)
+              rate_at = (fun t -> if t < 2.5 then 60_000.0 else 200.0);
+              duration = 6.0;
+            };
+        warmup = 0.0;
+      }
+  in
   Nkctl.start ctl;
   Testbed.run tb ~until:6.5;
   Nkctl.stop ctl;
-  let r = Nkapps.Loadgen.results (Option.get !lg) in
+  let r = Nkapps.Loadgen.results lg in
   let s = Nkctl.stats ctl in
   let peak_active =
     List.fold_left (fun acc x -> Int.max acc x.Nkctl.s_active) 0 (Nkctl.samples ctl)
@@ -159,9 +152,8 @@ let crash_failover_integrity () =
   let addr1 = Addr.make 10 6379 and addr2 = Addr.make 11 6379 in
   List.iter
     (fun (vm, addr) ->
-      match Nkapps.Kvstore.start ~engine:tb.Testbed.engine ~api:(Vm.api vm) ~addr with
-      | Ok _ -> ()
-      | Error e -> Alcotest.failf "kv: %s" (Types.err_to_string e))
+      ignore
+        (Types.get_exn "kv" (Nkapps.Kvstore.start ~engine:tb.Testbed.engine ~api:(Vm.api vm) ~addr)))
     [ (vm1, addr1); (vm2, addr2) ];
   let big = String.init 300_000 (fun i -> Char.chr (33 + ((i * 7) mod 90))) in
   (* Survivor: bulk set+get through vm2/nsm2, spanning the crash. *)
@@ -171,18 +163,16 @@ let crash_failover_integrity () =
          Nkapps.Kvstore.Client.connect ~engine:tb.Testbed.engine ~api:(Vm.api client)
            addr2
            ~k:(fun r ->
-             match r with
-             | Error e -> Alcotest.failf "survivor connect: %s" (Types.err_to_string e)
-             | Ok conn ->
-                 Nkapps.Kvstore.Client.set conn ~key:"blob" ~value:big ~k:(fun r ->
+             let conn = Types.get_exn "survivor connect" r in
+             Nkapps.Kvstore.Client.set conn ~key:"blob" ~value:big ~k:(fun r ->
+                 (match r with
+                 | Ok () -> ()
+                 | Error e -> Alcotest.failf "survivor set: %s" e);
+                 Nkapps.Kvstore.Client.get conn ~key:"blob" ~k:(fun r ->
                      (match r with
-                     | Ok () -> ()
-                     | Error e -> Alcotest.failf "survivor set: %s" e);
-                     Nkapps.Kvstore.Client.get conn ~key:"blob" ~k:(fun r ->
-                         (match r with
-                         | Ok v -> survivor_got := v
-                         | Error e -> Alcotest.failf "survivor get: %s" e);
-                         Nkapps.Kvstore.Client.close conn)))));
+                     | Ok v -> survivor_got := v
+                     | Error e -> Alcotest.failf "survivor get: %s" e);
+                     Nkapps.Kvstore.Client.close conn)))));
   (* Victim: a long transfer through vm1/nsm1; the crash lands mid-stream,
      so this request must fail fast, not hang. *)
   let victim_outcome = ref `Pending in
@@ -191,14 +181,12 @@ let crash_failover_integrity () =
          Nkapps.Kvstore.Client.connect ~engine:tb.Testbed.engine ~api:(Vm.api client)
            addr1
            ~k:(fun r ->
-             match r with
-             | Error e -> Alcotest.failf "victim connect: %s" (Types.err_to_string e)
-             | Ok conn ->
-                 Nkapps.Kvstore.Client.set conn ~key:"blob" ~value:big ~k:(fun r ->
-                     (match r with
-                     | Ok () -> victim_outcome := `Completed
-                     | Error _ -> victim_outcome := `Errored);
-                     Nkapps.Kvstore.Client.close conn))));
+             let conn = Types.get_exn "victim connect" r in
+             Nkapps.Kvstore.Client.set conn ~key:"blob" ~value:big ~k:(fun r ->
+                 (match r with
+                 | Ok () -> victim_outcome := `Completed
+                 | Error _ -> victim_outcome := `Errored);
+                 Nkapps.Kvstore.Client.close conn))));
   ignore (E.schedule tb.Testbed.engine ~delay:2e-3 (fun () -> Nsm.fail nsm1));
   (* The controller notices the crash on its next tick and re-places vm1
      (onto nsm2, the only survivor), re-homing its listener; a later client
@@ -210,19 +198,17 @@ let crash_failover_integrity () =
          Nkapps.Kvstore.Client.connect ~engine:tb.Testbed.engine ~api:(Vm.api client)
            addr1
            ~k:(fun r ->
-             match r with
-             | Error e -> Alcotest.failf "recovery connect: %s" (Types.err_to_string e)
-             | Ok conn ->
-                 Nkapps.Kvstore.Client.set conn ~key:"post" ~value:"failover"
-                   ~k:(fun r ->
+             let conn = Types.get_exn "recovery connect" r in
+             Nkapps.Kvstore.Client.set conn ~key:"post" ~value:"failover"
+               ~k:(fun r ->
+                 (match r with
+                 | Ok () -> ()
+                 | Error e -> Alcotest.failf "recovery set: %s" e);
+                 Nkapps.Kvstore.Client.get conn ~key:"post" ~k:(fun r ->
                      (match r with
-                     | Ok () -> ()
-                     | Error e -> Alcotest.failf "recovery set: %s" e);
-                     Nkapps.Kvstore.Client.get conn ~key:"post" ~k:(fun r ->
-                         (match r with
-                         | Ok v -> recovered := v
-                         | Error e -> Alcotest.failf "recovery get: %s" e);
-                         Nkapps.Kvstore.Client.close conn)))));
+                     | Ok v -> recovered := v
+                     | Error e -> Alcotest.failf "recovery get: %s" e);
+                     Nkapps.Kvstore.Client.close conn)))));
   Testbed.run tb ~until:5.0;
   (match !victim_outcome with
   | `Errored -> ()
@@ -273,26 +259,22 @@ let ce_autoscale_under_load () =
       ~profile:Sim.Cost_profile.ideal ()
   in
   let proto = Nkapps.Proto.Fixed { request = 64; response = 64; keepalive = false } in
-  (match
-     Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
-       (Nkapps.Epoll_server.config ~proto (Addr.make 10 80))
-   with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "server: %s" (Types.err_to_string e));
-  let lg = ref None in
   ignore
-    (E.schedule tb.Testbed.engine ~delay:1e-3 (fun () ->
-         lg :=
-           Some
-             (Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
-                {
-                  Nkapps.Loadgen.server = Addr.make 10 80;
-                  proto;
-                  mode =
-                    Nkapps.Loadgen.Closed
-                      { concurrency = 32; total = None; duration = Some 2.0 };
-                  warmup = 0.0;
-                })));
+    (Types.get_exn "server"
+       (Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
+          (Nkapps.Epoll_server.config ~proto (Addr.make 10 80))));
+  let lg =
+    Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
+      ~start:(E.now tb.Testbed.engine +. 1e-3)
+      {
+        Nkapps.Loadgen.server = Addr.make 10 80;
+        proto;
+        mode =
+          Nkapps.Loadgen.Closed
+            { concurrency = 32; total = None; duration = Some 2.0 };
+        warmup = 0.0;
+      }
+  in
   Alcotest.(check int) "starts with one shard" 1
     (Coreengine.n_shards (Host.coreengine hosta));
   Nkctl.start ctl;
@@ -310,7 +292,7 @@ let ce_autoscale_under_load () =
   if peak_ce <= 0.01 then
     Alcotest.failf "sampled CE utilization should exceed the watermark (%.4f)" peak_ce;
   Alcotest.(check int) "no NSM scale-ups" 0 s.Nkctl.scale_ups;
-  let r = Nkapps.Loadgen.results (Option.get !lg) in
+  let r = Nkapps.Loadgen.results lg in
   if r.Nkapps.Loadgen.completed = 0 then Alcotest.fail "no requests completed";
   Alcotest.(check int) "no errors across the scale-out" 0 r.Nkapps.Loadgen.errors
 

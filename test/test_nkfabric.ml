@@ -51,24 +51,22 @@ let start_pump tb client addr ~ops =
     (E.schedule tb.Testbed.engine ~delay:1e-3 (fun () ->
          Nkapps.Kvstore.Client.connect ~engine:tb.Testbed.engine ~api:(Vm.api client) addr
            ~k:(fun r ->
-             match r with
-             | Error e -> Alcotest.failf "pump connect: %s" (Types.err_to_string e)
-             | Ok conn ->
-                 let rec pump i =
-                   Nkapps.Kvstore.Client.set conn ~key:"k" ~value:(value i) ~k:(fun r ->
-                       match r with
-                       | Error e -> Alcotest.failf "set %d: %s" i e
-                       | Ok () ->
-                           Nkapps.Kvstore.Client.get conn ~key:"k" ~k:(fun r ->
-                               match r with
-                               | Ok (Some v) when v = value i ->
-                                   ops := !ops + 1;
-                                   pump (i + 1)
-                               | Ok (Some _) -> Alcotest.failf "get %d: wrong value" i
-                               | Ok None -> Alcotest.failf "get %d: miss" i
-                               | Error e -> Alcotest.failf "get %d: %s" i e))
-                 in
-                 pump 0)))
+             let conn = Types.get_exn "pump connect" r in
+             let rec pump i =
+               Nkapps.Kvstore.Client.set conn ~key:"k" ~value:(value i) ~k:(fun r ->
+                   match r with
+                   | Error e -> Alcotest.failf "set %d: %s" i e
+                   | Ok () ->
+                       Nkapps.Kvstore.Client.get conn ~key:"k" ~k:(fun r ->
+                           match r with
+                           | Ok (Some v) when v = value i ->
+                               ops := !ops + 1;
+                               pump (i + 1)
+                           | Ok (Some _) -> Alcotest.failf "get %d: wrong value" i
+                           | Ok None -> Alcotest.failf "get %d: miss" i
+                           | Error e -> Alcotest.failf "get %d: %s" i e))
+             in
+             pump 0)))
 
 let migration_live_connection () =
   let tb, cluster, _nodea, nodeb, nsma, _nsmb = mk_cluster () in
@@ -79,9 +77,8 @@ let migration_live_connection () =
       ~profile:Sim.Cost_profile.ideal ()
   in
   let addr = Addr.make 10 6379 in
-  (match Nkapps.Kvstore.start ~engine:tb.Testbed.engine ~api:(Vm.api vm) ~addr with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "kv: %s" (Types.err_to_string e));
+  ignore
+    (Types.get_exn "kv" (Nkapps.Kvstore.start ~engine:tb.Testbed.engine ~api:(Vm.api vm) ~addr));
   let ops = ref 0 in
   start_pump tb client addr ~ops;
   let ops_at_cut = ref 0 in
@@ -96,16 +93,14 @@ let migration_live_connection () =
     (E.schedule tb.Testbed.engine ~delay:0.5 (fun () ->
          Nkapps.Kvstore.Client.connect ~engine:tb.Testbed.engine ~api:(Vm.api client) addr
            ~k:(fun r ->
-             match r with
-             | Error e -> Alcotest.failf "fresh connect: %s" (Types.err_to_string e)
-             | Ok conn ->
-                 Nkapps.Kvstore.Client.get conn ~key:"k" ~k:(fun r ->
-                     match r with
-                     | Ok (Some _) ->
-                         fresh_ok := true;
-                         Nkapps.Kvstore.Client.close conn
-                     | Ok None -> Alcotest.fail "fresh get: miss"
-                     | Error e -> Alcotest.failf "fresh get: %s" e))));
+             let conn = Types.get_exn "fresh connect" r in
+             Nkapps.Kvstore.Client.get conn ~key:"k" ~k:(fun r ->
+                 match r with
+                 | Ok (Some _) ->
+                     fresh_ok := true;
+                     Nkapps.Kvstore.Client.close conn
+                 | Ok None -> Alcotest.fail "fresh get: miss"
+                 | Error e -> Alcotest.failf "fresh get: %s" e))));
   Testbed.run tb ~until:1.0;
   if !ops_at_cut = 0 then Alcotest.fail "no ops before the migration";
   if !ops <= !ops_at_cut then Alcotest.fail "connection did not survive the migration";
@@ -129,9 +124,8 @@ let remigration_home_unwind () =
       ~profile:Sim.Cost_profile.ideal ()
   in
   let addr = Addr.make 10 6379 in
-  (match Nkapps.Kvstore.start ~engine:tb.Testbed.engine ~api:(Vm.api vm) ~addr with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "kv: %s" (Types.err_to_string e));
+  ignore
+    (Types.get_exn "kv" (Nkapps.Kvstore.start ~engine:tb.Testbed.engine ~api:(Vm.api vm) ~addr));
   let ops = ref 0 in
   start_pump tb client addr ~ops;
   ignore
@@ -154,16 +148,14 @@ let remigration_home_unwind () =
     (E.schedule tb.Testbed.engine ~delay:1.1 (fun () ->
          Nkapps.Kvstore.Client.connect ~engine:tb.Testbed.engine ~api:(Vm.api client) addr
            ~k:(fun r ->
-             match r with
-             | Error e -> Alcotest.failf "fresh connect: %s" (Types.err_to_string e)
-             | Ok conn ->
-                 Nkapps.Kvstore.Client.get conn ~key:"k" ~k:(fun r ->
-                     match r with
-                     | Ok (Some _) ->
-                         fresh_ok := true;
-                         Nkapps.Kvstore.Client.close conn
-                     | Ok None -> Alcotest.fail "fresh get: miss"
-                     | Error e -> Alcotest.failf "fresh get: %s" e))));
+             let conn = Types.get_exn "fresh connect" r in
+             Nkapps.Kvstore.Client.get conn ~key:"k" ~k:(fun r ->
+                 match r with
+                 | Ok (Some _) ->
+                     fresh_ok := true;
+                     Nkapps.Kvstore.Client.close conn
+                 | Ok None -> Alcotest.fail "fresh get: miss"
+                 | Error e -> Alcotest.failf "fresh get: %s" e))));
   Testbed.run tb ~until:1.5;
   if !ops <= !ops_mid || !ops_mid = 0 then
     Alcotest.fail "connection did not keep serving after the homecoming";

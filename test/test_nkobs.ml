@@ -41,25 +41,21 @@ let start_pump tb client addr ~ops =
     (E.schedule tb.Testbed.engine ~delay:1e-3 (fun () ->
          Nkapps.Kvstore.Client.connect ~engine:tb.Testbed.engine ~api:(Vm.api client) addr
            ~k:(fun r ->
-             match r with
-             | Error e -> Alcotest.failf "pump connect: %s" (Types.err_to_string e)
-             | Ok conn ->
-                 let rec pump i =
-                   Nkapps.Kvstore.Client.set conn ~key:"k"
-                     ~value:(Printf.sprintf "v%d" i)
-                     ~k:(fun r ->
-                       match r with
-                       | Error e -> Alcotest.failf "set %d: %s" i e
-                       | Ok () ->
-                           ops := !ops + 1;
-                           pump (i + 1))
-                 in
-                 pump 0)))
+             let conn = Types.get_exn "pump connect" r in
+             let rec pump i =
+               Nkapps.Kvstore.Client.set conn ~key:"k"
+                 ~value:(Printf.sprintf "v%d" i)
+                 ~k:(fun r ->
+                   match r with
+                   | Error e -> Alcotest.failf "set %d: %s" i e
+                   | Ok () ->
+                       ops := !ops + 1;
+                       pump (i + 1))
+             in
+             pump 0)))
 
 let serve_kv tb vm addr =
-  match Nkapps.Kvstore.start ~engine:tb.Testbed.engine ~api:(Vm.api vm) ~addr with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "kv: %s" (Types.err_to_string e)
+  ignore (Types.get_exn "kv" (Nkapps.Kvstore.start ~engine:tb.Testbed.engine ~api:(Vm.api vm) ~addr))
 
 (* ---- metric federation ---------------------------------------------------- *)
 
@@ -122,14 +118,15 @@ let federation_host_tags () =
 let federation_deterministic () =
   let snap () =
     let obs = run_federated ~seed:77 () in
-    (Nkobs.to_csv obs, Nkobs.to_json obs, Nkobs.merged_trace_csv obs,
-     Nkobs.merged_trace_json obs)
+    let table = Experiments.Mon_report.cluster_table obs in
+    (Experiments.Report.to_csv table, Experiments.Report.to_json table,
+     Nkobs.merged_trace_csv obs, Nkobs.merged_trace_json obs)
   in
   let csv_a, json_a, tcsv_a, tjson_a = snap () in
   let csv_b, json_b, tcsv_b, tjson_b = snap () in
   Alcotest.(check bool) "csv non-trivial" true (String.length csv_a > 500);
-  Alcotest.(check string) "to_csv byte-identical" csv_a csv_b;
-  Alcotest.(check string) "to_json byte-identical" json_a json_b;
+  Alcotest.(check string) "metrics csv byte-identical" csv_a csv_b;
+  Alcotest.(check string) "metrics json byte-identical" json_a json_b;
   Alcotest.(check string) "merged trace csv byte-identical" tcsv_a tcsv_b;
   Alcotest.(check string) "merged trace json byte-identical" tjson_a tjson_b
 

@@ -424,24 +424,19 @@ let conn_dump_once ~seed =
   (* Keepalive connections stay established, so the connection table is
      non-trivial when the run ends. *)
   let proto = Nkapps.Proto.Fixed { request = 64; response = 256; keepalive = true } in
-  (match
-     Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
-       (Nkapps.Epoll_server.config ~proto (Addr.make 10 80))
-   with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "server: %s" (Types.err_to_string e));
   ignore
-    (Sim.Engine.schedule tb.Testbed.engine ~delay:1e-3 (fun () ->
-         ignore
-           (Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
-              {
-                Nkapps.Loadgen.server = Addr.make 10 80;
-                proto;
-                mode =
-                  Nkapps.Loadgen.Closed
-                    { concurrency = 8; total = Some 200; duration = None };
-                warmup = 0.0;
-              })));
+    (Types.get_exn "server"
+       (Nkapps.Epoll_server.start ~engine:tb.Testbed.engine ~api:(Vm.api vm)
+          (Nkapps.Epoll_server.config ~proto (Addr.make 10 80))));
+  ignore
+    (Nkapps.Loadgen.start ~engine:tb.Testbed.engine ~api:(Vm.api client)
+       ~start:(Sim.Engine.now tb.Testbed.engine +. 1e-3)
+       {
+         Nkapps.Loadgen.server = Addr.make 10 80;
+         proto;
+         mode = Nkapps.Loadgen.Closed { concurrency = 8; total = Some 200; duration = None };
+         warmup = 0.0;
+       });
   Testbed.run tb ~until:10.0;
   Coreengine.dump_conn_table (Host.coreengine hosta)
 

@@ -7,17 +7,13 @@ module E = Sim.Engine
 let ip_a = 1
 let ip_b = 2
 
-let ok what = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "%s: %s" what (Types.err_to_string e)
-
 let bind_conflicts () =
   let w = World.create () in
   let a = World.add_endpoint w ~name:"a" ~ip:ip_a in
-  let s1 = ok "socket" (a.World.api.Socket_api.socket ()) in
-  ok "bind" (a.World.api.Socket_api.bind s1 (Addr.make ip_a 80));
-  ok "listen" (a.World.api.Socket_api.listen s1 ~backlog:8);
-  let s2 = ok "socket" (a.World.api.Socket_api.socket ()) in
+  let s1 = Types.get_exn "socket" (a.World.api.Socket_api.socket ()) in
+  Types.get_exn "bind" (a.World.api.Socket_api.bind s1 (Addr.make ip_a 80));
+  Types.get_exn "listen" (a.World.api.Socket_api.listen s1 ~backlog:8);
+  let s2 = Types.get_exn "socket" (a.World.api.Socket_api.socket ()) in
   (match a.World.api.Socket_api.bind s2 (Addr.make ip_a 80) with
   | Error Types.Eaddrinuse -> ()
   | Error e -> Alcotest.failf "expected EADDRINUSE, got %s" (Types.err_to_string e)
@@ -28,16 +24,16 @@ let bind_conflicts () =
       | Error e -> Alcotest.failf "expected EADDRINUSE at listen, got %s" (Types.err_to_string e)
       | Ok () -> Alcotest.fail "two listeners on one endpoint"));
   (* a different port is fine *)
-  let s3 = ok "socket" (a.World.api.Socket_api.socket ()) in
-  ok "bind other port" (a.World.api.Socket_api.bind s3 (Addr.make ip_a 81));
-  ok "listen other port" (a.World.api.Socket_api.listen s3 ~backlog:8)
+  let s3 = Types.get_exn "socket" (a.World.api.Socket_api.socket ()) in
+  Types.get_exn "bind other port" (a.World.api.Socket_api.bind s3 (Addr.make ip_a 81));
+  Types.get_exn "listen other port" (a.World.api.Socket_api.listen s3 ~backlog:8)
 
 let listener_close_fails_waiters () =
   let w = World.create () in
   let a = World.add_endpoint w ~name:"a" ~ip:ip_a in
-  let ls = ok "socket" (a.World.api.Socket_api.socket ()) in
-  ok "bind" (a.World.api.Socket_api.bind ls (Addr.make ip_a 80));
-  ok "listen" (a.World.api.Socket_api.listen ls ~backlog:8);
+  let ls = Types.get_exn "socket" (a.World.api.Socket_api.socket ()) in
+  Types.get_exn "bind" (a.World.api.Socket_api.bind ls (Addr.make ip_a 80));
+  Types.get_exn "listen" (a.World.api.Socket_api.listen ls ~backlog:8);
   let result = ref None in
   a.World.api.Socket_api.accept ls ~k:(fun r -> result := Some r);
   a.World.api.Socket_api.close ls;
@@ -65,9 +61,9 @@ let ephemeral_ports_recycle () =
   let w = World.create () in
   let a = World.add_endpoint w ~name:"client" ~ip:ip_a ~profile:Sim.Cost_profile.ideal in
   let b = World.add_endpoint w ~name:"server" ~ip:ip_b ~profile:Sim.Cost_profile.ideal in
-  let ls = ok "socket" (b.World.api.Socket_api.socket ()) in
-  ok "bind" (b.World.api.Socket_api.bind ls (Addr.make ip_b 80));
-  ok "listen" (b.World.api.Socket_api.listen ls ~backlog:64);
+  let ls = Types.get_exn "socket" (b.World.api.Socket_api.socket ()) in
+  Types.get_exn "bind" (b.World.api.Socket_api.bind ls (Addr.make ip_b 80));
+  Types.get_exn "listen" (b.World.api.Socket_api.listen ls ~backlog:64);
   let rec accept_loop () =
     b.World.api.Socket_api.accept ls ~k:(fun r ->
         match r with
@@ -83,9 +79,9 @@ let ephemeral_ports_recycle () =
   let total = 2000 in
   let rec one () =
     if !completed < total then begin
-      let fd = ok "socket" (a.World.api.Socket_api.socket ()) in
+      let fd = Types.get_exn "socket" (a.World.api.Socket_api.socket ()) in
       a.World.api.Socket_api.connect fd (Addr.make ip_b 80) ~k:(fun r ->
-          ok "connect" r;
+          Types.get_exn "connect" r;
           a.World.api.Socket_api.close fd;
           incr completed;
           ignore (E.schedule w.World.engine ~delay:1e-5 one))
@@ -101,14 +97,14 @@ let zero_window_persist () =
   let w = World.create () in
   let a = World.add_endpoint w ~name:"a" ~ip:ip_a ~profile:Sim.Cost_profile.ideal in
   let b = World.add_endpoint w ~name:"b" ~ip:ip_b ~profile:Sim.Cost_profile.ideal in
-  let ls = ok "socket" (b.World.api.Socket_api.socket ()) in
-  ok "bind" (b.World.api.Socket_api.bind ls (Addr.make ip_b 80));
-  ok "listen" (b.World.api.Socket_api.listen ls ~backlog:8);
-  b.World.api.Socket_api.accept ls ~k:(fun r -> ignore (ok "accept" r));
+  let ls = Types.get_exn "socket" (b.World.api.Socket_api.socket ()) in
+  Types.get_exn "bind" (b.World.api.Socket_api.bind ls (Addr.make ip_b 80));
+  Types.get_exn "listen" (b.World.api.Socket_api.listen ls ~backlog:8);
+  b.World.api.Socket_api.accept ls ~k:(fun r -> ignore (Types.get_exn "accept" r));
   let sent = ref 0 and still_alive = ref false in
-  let fd = ok "socket" (a.World.api.Socket_api.socket ()) in
+  let fd = Types.get_exn "socket" (a.World.api.Socket_api.socket ()) in
   a.World.api.Socket_api.connect fd (Addr.make ip_b 80) ~k:(fun r ->
-      ok "connect" r;
+      Types.get_exn "connect" r;
       let rec pump () =
         a.World.api.Socket_api.send fd (Types.Zeros 65536) ~k:(fun r ->
             match r with
@@ -138,17 +134,17 @@ let events_snapshot () =
   let w = World.create () in
   let a = World.add_endpoint w ~name:"a" ~ip:ip_a in
   let b = World.add_endpoint w ~name:"b" ~ip:ip_b in
-  let ls = ok "socket" (b.World.api.Socket_api.socket ()) in
-  ok "bind" (b.World.api.Socket_api.bind ls (Addr.make ip_b 80));
-  ok "listen" (b.World.api.Socket_api.listen ls ~backlog:8);
+  let ls = Types.get_exn "socket" (b.World.api.Socket_api.socket ()) in
+  Types.get_exn "bind" (b.World.api.Socket_api.bind ls (Addr.make ip_b 80));
+  Types.get_exn "listen" (b.World.api.Socket_api.listen ls ~backlog:8);
   let server_fd = ref None in
   b.World.api.Socket_api.accept ls ~k:(fun r ->
-      let fd, _ = ok "accept" r in
+      let fd, _ = Types.get_exn "accept" r in
       server_fd := Some fd);
-  let fd = ok "socket" (a.World.api.Socket_api.socket ()) in
+  let fd = Types.get_exn "socket" (a.World.api.Socket_api.socket ()) in
   let ep = a.World.api.Socket_api.epoll_create () in
   a.World.api.Socket_api.connect fd (Addr.make ip_b 80) ~k:(fun r ->
-      ok "connect" r;
+      Types.get_exn "connect" r;
       a.World.api.Socket_api.epoll_add ep fd
         ~mask:{ Types.readable = true; writable = true; hup = true });
   let got = ref [] in

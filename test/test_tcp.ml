@@ -6,10 +6,6 @@ module E = Sim.Engine
 let ip_a = 1
 let ip_b = 2
 
-let check_ok name = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "%s: unexpected error %s" name (Types.err_to_string e)
-
 let handshake_and_echo () =
   let w = World.create () in
   let a = World.add_endpoint w ~name:"client" ~ip:ip_a in
@@ -17,29 +13,29 @@ let handshake_and_echo () =
   let server_addr = Addr.make ip_b 80 in
   let got_request = ref "" and got_reply = ref "" and server_done = ref false in
   (* Server *)
-  let ls = check_ok "socket" (b.World.api.Socket_api.socket ()) in
-  check_ok "bind" (b.World.api.Socket_api.bind ls server_addr);
-  check_ok "listen" (b.World.api.Socket_api.listen ls ~backlog:16);
+  let ls = Types.get_exn "socket" (b.World.api.Socket_api.socket ()) in
+  Types.get_exn "bind" (b.World.api.Socket_api.bind ls server_addr);
+  Types.get_exn "listen" (b.World.api.Socket_api.listen ls ~backlog:16);
   b.World.api.Socket_api.accept ls ~k:(fun r ->
-      let fd, peer = check_ok "accept" r in
+      let fd, peer = Types.get_exn "accept" r in
       Alcotest.(check int) "peer ip" ip_a peer.Addr.ip;
       World.recv_retry w b.World.api fd ~max:4096 ~mode:`Copy ~k:(fun r ->
-          match check_ok "server recv" r with
+          match Types.get_exn "server recv" r with
           | Types.Data s ->
               got_request := s;
               World.send_all w b.World.api fd (Types.Data "world!") ~k:(fun r ->
-                  check_ok "server send" r;
+                  Types.get_exn "server send" r;
                   b.World.api.Socket_api.close fd;
                   server_done := true)
           | Types.Zeros _ -> Alcotest.fail "expected real data"));
   (* Client *)
-  let cs = check_ok "socket" (a.World.api.Socket_api.socket ()) in
+  let cs = Types.get_exn "socket" (a.World.api.Socket_api.socket ()) in
   a.World.api.Socket_api.connect cs server_addr ~k:(fun r ->
-      check_ok "connect" r;
+      Types.get_exn "connect" r;
       World.send_all w a.World.api cs (Types.Data "hello") ~k:(fun r ->
-          check_ok "client send" r;
+          Types.get_exn "client send" r;
           World.recv_retry w a.World.api cs ~max:4096 ~mode:`Copy ~k:(fun r ->
-              match check_ok "client recv" r with
+              match Types.get_exn "client recv" r with
               | Types.Data s -> got_reply := s
               | Types.Zeros _ -> Alcotest.fail "expected real data")));
   World.run w ~until:5.0;
@@ -54,15 +50,15 @@ let bulk_transfer () =
   let server_addr = Addr.make ip_b 5001 in
   let total = 64 * 1024 * 1024 in
   let received = ref 0 and eof = ref false and t_start = ref 0.0 and t_end = ref 0.0 in
-  let ls = check_ok "socket" (b.World.api.Socket_api.socket ()) in
-  check_ok "bind" (b.World.api.Socket_api.bind ls server_addr);
-  check_ok "listen" (b.World.api.Socket_api.listen ls ~backlog:16);
+  let ls = Types.get_exn "socket" (b.World.api.Socket_api.socket ()) in
+  Types.get_exn "bind" (b.World.api.Socket_api.bind ls server_addr);
+  Types.get_exn "listen" (b.World.api.Socket_api.listen ls ~backlog:16);
   b.World.api.Socket_api.accept ls ~k:(fun r ->
-      let fd, _ = check_ok "accept" r in
+      let fd, _ = Types.get_exn "accept" r in
       t_start := E.now w.World.engine;
       let rec loop () =
         World.recv_retry w b.World.api fd ~max:(1 lsl 20) ~mode:`Discard ~k:(fun r ->
-            match check_ok "recv" r with
+            match Types.get_exn "recv" r with
             | Types.Zeros 0 | Types.Data "" ->
                 eof := true;
                 t_end := E.now w.World.engine
@@ -74,15 +70,15 @@ let bulk_transfer () =
                 loop ())
       in
       loop ());
-  let cs = check_ok "socket" (a.World.api.Socket_api.socket ()) in
+  let cs = Types.get_exn "socket" (a.World.api.Socket_api.socket ()) in
   a.World.api.Socket_api.connect cs server_addr ~k:(fun r ->
-      check_ok "connect" r;
+      Types.get_exn "connect" r;
       let remaining = ref total in
       let rec pump () =
         if !remaining > 0 then begin
           let chunk = Int.min !remaining (1 lsl 20) in
           World.send_all w a.World.api cs (Types.Zeros chunk) ~k:(fun r ->
-              check_ok "send" r;
+              Types.get_exn "send" r;
               remaining := !remaining - chunk;
               pump ())
         end
@@ -100,7 +96,7 @@ let connect_refused () =
   let a = World.add_endpoint w ~name:"client" ~ip:ip_a in
   let _b = World.add_endpoint w ~name:"server" ~ip:ip_b in
   let result = ref None in
-  let cs = check_ok "socket" (a.World.api.Socket_api.socket ()) in
+  let cs = Types.get_exn "socket" (a.World.api.Socket_api.socket ()) in
   a.World.api.Socket_api.connect cs (Addr.make ip_b 81) ~k:(fun r -> result := Some r);
   World.run w ~until:5.0;
   match !result with
@@ -129,14 +125,14 @@ let lossy_link_integrity () =
   in
   let received = Buffer.create total in
   let eof = ref false in
-  let ls = check_ok "socket" (b.World.api.Socket_api.socket ()) in
-  check_ok "bind" (b.World.api.Socket_api.bind ls server_addr);
-  check_ok "listen" (b.World.api.Socket_api.listen ls ~backlog:16);
+  let ls = Types.get_exn "socket" (b.World.api.Socket_api.socket ()) in
+  Types.get_exn "bind" (b.World.api.Socket_api.bind ls server_addr);
+  Types.get_exn "listen" (b.World.api.Socket_api.listen ls ~backlog:16);
   b.World.api.Socket_api.accept ls ~k:(fun r ->
-      let fd, _ = check_ok "accept" r in
+      let fd, _ = Types.get_exn "accept" r in
       let rec loop () =
         World.recv_retry w b.World.api fd ~max:65536 ~mode:`Copy ~k:(fun r ->
-            match check_ok "recv" r with
+            match Types.get_exn "recv" r with
             | Types.Data "" -> eof := true
             | Types.Data s ->
                 Buffer.add_string received s;
@@ -144,11 +140,11 @@ let lossy_link_integrity () =
             | Types.Zeros _ -> Alcotest.fail "expected real data")
       in
       loop ());
-  let cs = check_ok "socket" (a.World.api.Socket_api.socket ()) in
+  let cs = Types.get_exn "socket" (a.World.api.Socket_api.socket ()) in
   a.World.api.Socket_api.connect cs server_addr ~k:(fun r ->
-      check_ok "connect" r;
+      Types.get_exn "connect" r;
       World.send_all w a.World.api cs (Types.Data payload) ~k:(fun r ->
-          check_ok "send" r;
+          Types.get_exn "send" r;
           a.World.api.Socket_api.close cs));
   World.run w ~until:120.0;
   Alcotest.(check bool) "eof" true !eof;
@@ -167,21 +163,20 @@ let backlog_overflow_recovers () =
      retransmit after the 1 s SYN timeout; all connect eventually. *)
   let n_clients = 8 in
   let connected = ref 0 in
-  let ls = check_ok "socket" (b.World.api.Socket_api.socket ()) in
-  check_ok "bind" (b.World.api.Socket_api.bind ls server_addr);
-  check_ok "listen" (b.World.api.Socket_api.listen ls ~backlog:4);
+  let ls = Types.get_exn "socket" (b.World.api.Socket_api.socket ()) in
+  Types.get_exn "bind" (b.World.api.Socket_api.bind ls server_addr);
+  Types.get_exn "listen" (b.World.api.Socket_api.listen ls ~backlog:4);
   let rec accept_loop () =
     b.World.api.Socket_api.accept ls ~k:(fun r ->
-        ignore (check_ok "accept" r);
+        ignore (Types.get_exn "accept" r);
         accept_loop ())
   in
   accept_loop ();
   for _ = 1 to n_clients do
-    let cs = check_ok "socket" (a.World.api.Socket_api.socket ()) in
+    let cs = Types.get_exn "socket" (a.World.api.Socket_api.socket ()) in
     a.World.api.Socket_api.connect cs server_addr ~k:(fun r ->
-        match r with
-        | Ok () -> incr connected
-        | Error e -> Alcotest.failf "client connect failed: %s" (Types.err_to_string e))
+        Types.get_exn "client connect" r;
+        incr connected)
   done;
   World.run w ~until:30.0;
   let stats = Stack.stats b.World.stack in
@@ -196,23 +191,23 @@ let fin_both_ways () =
   let b = World.add_endpoint w ~name:"server" ~ip:ip_b in
   let server_addr = Addr.make ip_b 80 in
   let client_data = ref "" and client_eof = ref false in
-  let ls = check_ok "socket" (b.World.api.Socket_api.socket ()) in
-  check_ok "bind" (b.World.api.Socket_api.bind ls server_addr);
-  check_ok "listen" (b.World.api.Socket_api.listen ls ~backlog:16);
+  let ls = Types.get_exn "socket" (b.World.api.Socket_api.socket ()) in
+  Types.get_exn "bind" (b.World.api.Socket_api.bind ls server_addr);
+  Types.get_exn "listen" (b.World.api.Socket_api.listen ls ~backlog:16);
   b.World.api.Socket_api.accept ls ~k:(fun r ->
-      let fd, _ = check_ok "accept" r in
+      let fd, _ = Types.get_exn "accept" r in
       World.send_all w b.World.api fd (Types.Data "bye") ~k:(fun r ->
-          check_ok "server send" r;
+          Types.get_exn "server send" r;
           b.World.api.Socket_api.close fd));
-  let cs = check_ok "socket" (a.World.api.Socket_api.socket ()) in
+  let cs = Types.get_exn "socket" (a.World.api.Socket_api.socket ()) in
   a.World.api.Socket_api.connect cs server_addr ~k:(fun r ->
-      check_ok "connect" r;
+      Types.get_exn "connect" r;
       World.recv_retry w a.World.api cs ~max:64 ~mode:`Copy ~k:(fun r ->
-          match check_ok "client recv data" r with
+          match Types.get_exn "client recv data" r with
           | Types.Data s ->
               client_data := s;
               World.recv_retry w a.World.api cs ~max:64 ~mode:`Copy ~k:(fun r ->
-                  match check_ok "client recv eof" r with
+                  match Types.get_exn "client recv eof" r with
                   | Types.Data "" ->
                       client_eof := true;
                       a.World.api.Socket_api.close cs
@@ -253,28 +248,25 @@ let ecn_marks_with_dctcp () =
   let b = World.add_endpoint w ~name:"receiver" ~ip:ip_b ~profile:Sim.Cost_profile.ideal in
   let server_addr = Addr.make ip_b 5003 in
   let received = ref 0 in
-  let ls = check_ok "socket" (b.World.api.Socket_api.socket ()) in
-  check_ok "bind" (b.World.api.Socket_api.bind ls server_addr);
-  check_ok "listen" (b.World.api.Socket_api.listen ls ~backlog:64);
+  let ls = Types.get_exn "socket" (b.World.api.Socket_api.socket ()) in
+  Types.get_exn "bind" (b.World.api.Socket_api.bind ls server_addr);
+  Types.get_exn "listen" (b.World.api.Socket_api.listen ls ~backlog:64);
   let rec accept_loop () =
     b.World.api.Socket_api.accept ls ~k:(fun r ->
-        let fd, _ = check_ok "accept" r in
+        let fd, _ = Types.get_exn "accept" r in
         let rec loop () =
           World.recv_retry w b.World.api fd ~max:(1 lsl 20) ~mode:`Discard ~k:(fun r ->
-              match r with
-              | Ok p ->
-                  received := !received + Types.payload_len p;
-                  loop ()
-              | Error e -> Alcotest.failf "recv: %s" (Types.err_to_string e))
+              received := !received + Types.payload_len (Types.get_exn "recv" r);
+              loop ())
         in
         loop ();
         accept_loop ())
   in
   accept_loop ();
   for _ = 1 to 2 do
-    let cs = check_ok "socket" (a.World.api.Socket_api.socket ()) in
+    let cs = Types.get_exn "socket" (a.World.api.Socket_api.socket ()) in
     a.World.api.Socket_api.connect cs server_addr ~k:(fun r ->
-        check_ok "connect" r;
+        Types.get_exn "connect" r;
         let rec pump () =
           a.World.api.Socket_api.send cs (Types.Zeros (256 * 1024)) ~k:(fun r ->
               match r with

@@ -11,6 +11,16 @@ dune runtest
 # typedtree pass over the .cmt files the build produces for lib/ bin/ test/,
 # read in place, so the tree is never compiled twice.
 dune build @lint
+# Examples: each examples/*.exe runs once to completion (together about
+# 20 s); they double as end-to-end smokes of the public API.
+for src in examples/*.ml; do
+  ex=$(basename "$src" .ml)
+  if ! dune exec "examples/$ex.exe" > /dev/null; then
+    echo "check.sh: example $ex exited non-zero" >&2
+    exit 1
+  fi
+  echo "check.sh: example $ex OK"
+done
 # Gated experiments: each quick run below is snapshotted twice with
 # `nk bench` (its result table, latency percentiles and report notes).
 # The two snapshots must match exactly (--tolerance 0 compares every cell
