@@ -5,8 +5,14 @@ module Types = Tcpstack.Types
 
 type route = { nsm_id : int; nsm_qset : int }
 
-(* Connection-table keys are ⟨VM id, socket id⟩. *)
-let conn_key_cmp = Nkutil.Det_tbl.pair Int.compare Int.compare
+(* Connection-table keys are ⟨VM id, socket id⟩ packed into one int (the
+   wire carries an 8-bit VM id and a 32-bit socket id), so a lookup builds
+   no tuple; ascending packed keys are ascending ⟨vm, sock⟩ pairs. *)
+let conn_key vm_id sock = (vm_id lsl 32) lor (sock land 0xFFFF_FFFF)
+
+let key_vm key = key lsr 32
+
+let key_sock key = key land 0xFFFF_FFFF
 
 type deferred_entry =
   | To_nsm of bytes
@@ -73,7 +79,7 @@ type t = {
   nsms : (int, Nk_device.t) Hashtbl.t;
   mutable device_order : (Nk_device.t * [ `Vm | `Nsm ]) list;
   assignment : (int, int array * int ref) Hashtbl.t; (* vm_id -> nsms, rr *)
-  conn_table : (int * int, route) Hashtbl.t; (* (vm_id, sock) -> route *)
+  conn_table : (int, route) Hashtbl.t; (* conn_key vm_id sock -> route *)
   nsm_conns : (int, int ref) Hashtbl.t; (* nsm_id -> live table entries *)
   draining : (int, unit) Hashtbl.t; (* NSMs excluded from new assignments *)
   buckets : (int, Nkutil.Token_bucket.t) Hashtbl.t;
@@ -242,11 +248,11 @@ let conn_table_size t = Hashtbl.length t.conn_table
 
 let dump_conn_table t =
   let buf = Buffer.create 256 in
-  Nkutil.Det_tbl.iter ~cmp:conn_key_cmp
-    (fun (vm_id, sock) r ->
+  Nkutil.Det_tbl.iter ~cmp:Int.compare
+    (fun key r ->
       Buffer.add_string buf
-        (Printf.sprintf "vm=%d sock=%d -> nsm=%d qset=%d\n" vm_id sock r.nsm_id
-           r.nsm_qset))
+        (Printf.sprintf "vm=%d sock=%d -> nsm=%d qset=%d\n" (key_vm key) (key_sock key)
+           r.nsm_id r.nsm_qset))
     t.conn_table;
   Buffer.contents buf
 
@@ -266,7 +272,7 @@ let conn_counter t nsm_id =
 
 let table_add ?sh t key route =
   (match sh with
-  | Some sh when vm_home_idx t (fst key) <> sh.idx -> charge_xshard t sh
+  | Some sh when vm_home_idx t (key_vm key) <> sh.idx -> charge_xshard t sh
   | _ -> ());
   (match Hashtbl.find_opt t.conn_table key with
   | Some prev -> decr (conn_counter t prev.nsm_id)
@@ -279,7 +285,7 @@ let table_remove ?sh t key =
   | None -> ()
   | Some r ->
       (match sh with
-      | Some sh when vm_home_idx t (fst key) <> sh.idx -> charge_xshard t sh
+      | Some sh when vm_home_idx t (key_vm key) <> sh.idx -> charge_xshard t sh
       | _ -> ());
       Hashtbl.remove t.conn_table key;
       decr (conn_counter t r.nsm_id)
@@ -318,10 +324,10 @@ let undrain_nsm t ~nsm_id =
     ctl_event t "undrain_nsm" (Printf.sprintf "nsm=%d" nsm_id)
   end
 
-let forget_route t ~vm_id ~sock = table_remove t (vm_id, sock)
+let forget_route t ~vm_id ~sock = table_remove t (conn_key vm_id sock)
 
 let add_route t ~vm_id ~sock ~nsm_id ~nsm_qset =
-  table_add t (vm_id, sock) { nsm_id; nsm_qset }
+  table_add t (conn_key vm_id sock) { nsm_id; nsm_qset }
 
 let rehome_nsm_routes t ~from_nsm ~to_nsm =
   (* Re-point every route at [from_nsm] to [to_nsm], keeping queue-set
@@ -329,7 +335,7 @@ let rehome_nsm_routes t ~from_nsm ~to_nsm =
      sets). Used by live migration: the stub device standing in for a
      departed NSM inherits its flows atomically. *)
   let moved =
-    Nkutil.Det_tbl.fold ~cmp:conn_key_cmp
+    Nkutil.Det_tbl.fold ~cmp:Int.compare
       (fun key r acc -> if r.nsm_id = from_nsm then (key, r.nsm_qset) :: acc else acc)
       t.conn_table []
   in
@@ -348,9 +354,9 @@ let forget_vm_routes t ~vm_id ~nsm_id =
      does not cover (listeners, bare sockets) at the stand-in stub — left in
      place, their replayed NQEs would bounce home CE -> stub forever. *)
   let keys =
-    Nkutil.Det_tbl.fold ~cmp:conn_key_cmp
+    Nkutil.Det_tbl.fold ~cmp:Int.compare
       (fun key r acc ->
-        if fst key = vm_id && r.nsm_id = nsm_id then key :: acc else acc)
+        if key_vm key = vm_id && r.nsm_id = nsm_id then key :: acc else acc)
       t.conn_table []
   in
   List.iter (table_remove t) keys;
@@ -448,10 +454,10 @@ let route_nsm_to_vm t (sh : shard) ~src_nsm ~src_qset raw =
          (its parting completions are still in flight). *)
       if
         Hashtbl.mem t.nsms src_nsm
-        && not (Hashtbl.mem t.conn_table (vm_id, table_sock))
+        && not (Hashtbl.mem t.conn_table (conn_key vm_id table_sock))
       then
-        table_add ~sh t (vm_id, table_sock) { nsm_id = src_nsm; nsm_qset = src_qset };
-      if op = Nqe.Comp_close then table_remove ~sh t (vm_id, sock);
+        table_add ~sh t (conn_key vm_id table_sock) { nsm_id = src_nsm; nsm_qset = src_qset };
+      if op = Nqe.Comp_close then table_remove ~sh t (conn_key vm_id sock);
       let q =
         match op with
         | Nqe.Ev_accept | Nqe.Ev_data | Nqe.Ev_eof -> `Receive
@@ -493,8 +499,10 @@ let rec schedule_release t (sh : shard) delay =
   end
 
 and drain_deferred t (sh : shard) =
-  Nkspan.frame t.spans ~component:sh.sinstance ~stage:"drain" (fun () ->
-      drain_deferred_framed t sh)
+  if Nkspan.profiling t.spans then
+    Nkspan.frame t.spans ~component:sh.sinstance ~stage:"drain" (fun () ->
+        drain_deferred_framed t sh)
+  else drain_deferred_framed t sh
 
 and drain_deferred_framed t (sh : shard) =
   let next_delay = ref infinity in
@@ -595,23 +603,24 @@ and route_vm_to_nsm t (sh : shard) raw =
   let vm_id = Nqe.View.vm_id raw in
   let sock = Nqe.View.sock raw in
   let op = Nqe.View.op raw in
-  match Hashtbl.find_opt t.conn_table (vm_id, sock) with
-  | Some r -> (
-      match Hashtbl.find_opt t.nsms r.nsm_id with
-      | None ->
-          table_remove ~sh t (vm_id, sock);
+  let key = conn_key vm_id sock in
+  match Hashtbl.find t.conn_table key with
+  | r -> (
+      match Hashtbl.find t.nsms r.nsm_id with
+      | exception Not_found ->
+          table_remove ~sh t key;
           drop sh t (Some raw) "nsm_gone";
           reply_error t sh raw Types.Econnreset;
           true
-      | Some dev ->
+      | dev ->
           let q = match op with Nqe.Send -> `Send | _ -> `Job in
-          if op = Nqe.Close then table_remove ~sh t (vm_id, sock);
+          if op = Nqe.Close then table_remove ~sh t key;
           if push_inbound t sh dev ~qset:r.nsm_qset q raw then begin
             switched sh t raw (`Nsm r.nsm_id);
             true
           end
           else false)
-  | None -> (
+  | exception Not_found -> (
       (* First NQE of this socket: assign an NSM and a queue set, skipping
          NSMs that are draining or gone (falling back to the raw pick if
          nothing else is available, so a misconfigured drain-all still
@@ -645,13 +654,33 @@ and route_vm_to_nsm t (sh : shard) raw =
               let nsm_qset =
                 sock * 2654435761 land max_int mod Nk_device.n_qsets dev
               in
-              table_add ~sh t (vm_id, sock) { nsm_id; nsm_qset };
+              table_add ~sh t key { nsm_id; nsm_qset };
               let q = match op with Nqe.Send -> `Send | _ -> `Job in
               if push_inbound t sh dev ~qset:nsm_qset q raw then begin
                 switched sh t raw (`Nsm nsm_id);
                 true
               end
               else false))
+
+(* Does shard [sh] own any of queue sets [i, nq) of device [dev_id]? *)
+let rec owns_any t (sh : shard) ~dev_id nq i =
+  i < nq && (owner_idx t ~dev_id ~qset:i = sh.idx || owns_any t sh ~dev_id nq (i + 1))
+
+(* Pop at most [batch] NQEs from [ring] onto the end of [sh]'s sweep
+   buffers, each tagged with [src]; the buffers grow to fit. *)
+let take (sh : shard) ~batch src ring =
+  let n = sh.sweep_len in
+  if n + batch > Array.length sh.sweep_raw then begin
+    let cap = Int.max (2 * Array.length sh.sweep_raw) (n + batch) in
+    let src' = Array.make cap (-1) and raw' = Array.make cap Bytes.empty in
+    Array.blit sh.sweep_src 0 src' 0 n;
+    Array.blit sh.sweep_raw 0 raw' 0 n;
+    sh.sweep_src <- src';
+    sh.sweep_raw <- raw'
+  end;
+  let got = Ring.pop_slice ring sh.sweep_raw ~pos:n ~max:batch in
+  Array.fill sh.sweep_src n got src;
+  sh.sweep_len <- n + got
 
 (* One full sweep by shard [sh] over the queue sets it owns, popping at most
    [ce_batch] NQEs per outbound ring into the shard's reusable work
@@ -660,57 +689,34 @@ and route_vm_to_nsm t (sh : shard) raw =
    entries this shard just flushed into their rings).
    Sets [sh.sweep_len]. *)
 let rec sweep t (sh : shard) =
-  let batch = t.costs.Nk_costs.ce_batch in
   sh.sweep_len <- 0;
-  let take src ring =
-    let rec loop i =
-      if i < batch then
-        match Ring.pop ring with
-        | None -> ()
-        | Some raw ->
-            let n = sh.sweep_len in
-            if n = Array.length sh.sweep_raw then begin
-              let cap = 2 * n in
-              let src' = Array.make cap (-1) and raw' = Array.make cap Bytes.empty in
-              Array.blit sh.sweep_src 0 src' 0 n;
-              Array.blit sh.sweep_raw 0 raw' 0 n;
-              sh.sweep_src <- src';
-              sh.sweep_raw <- raw'
-            end;
-            sh.sweep_src.(n) <- src;
-            sh.sweep_raw.(n) <- raw;
-            sh.sweep_len <- n + 1;
-            loop (i + 1)
-    in
-    loop 0
-  in
-  List.iter
-    (fun (dev, side) ->
+  sweep_devices t sh t.device_order
+
+and sweep_devices t (sh : shard) = function
+  | [] -> ()
+  | (dev, side) :: rest ->
       let dev_id = Nk_device.id dev in
       let nq = Nk_device.n_qsets dev in
-      let owns_any = ref false in
-      for i = 0 to nq - 1 do
-        if owner_idx t ~dev_id ~qset:i = sh.idx then owns_any := true
-      done;
-      if !owns_any then begin
+      if owns_any t sh ~dev_id nq 0 then begin
         Nk_device.flush_overflow dev;
+        let batch = t.costs.Nk_costs.ce_batch in
         for i = 0 to nq - 1 do
           if owner_idx t ~dev_id ~qset:i = sh.idx then begin
             let s = Nk_device.qset dev i in
             match side with
             | `Vm ->
-                take (-1) s.Queue_set.job;
-                take (-1) s.Queue_set.send
+                take sh ~batch (-1) s.Queue_set.job;
+                take sh ~batch (-1) s.Queue_set.send
             | `Nsm ->
                 let src = (dev_id lsl 16) lor i in
-                take src s.Queue_set.completion;
-                take src s.Queue_set.receive
+                take sh ~batch src s.Queue_set.completion;
+                take sh ~batch src s.Queue_set.receive
           end
           else if Nk_device.outbound_pending dev ~qset:i > 0 then
             kick_shard t t.shards.(owner_idx t ~dev_id ~qset:i)
         done
-      end)
-    t.device_order
+      end;
+      sweep_devices t sh rest
 
 and dispatch t (sh : shard) src raw =
   if not (Nqe.View.ok raw) then drop sh t None "decode"
@@ -763,8 +769,8 @@ and process t (sh : shard) =
   let n = sh.sweep_len in
   if n = 0 then begin
     sh.running <- false;
-    Nkspan.frame t.spans ~component:sh.sinstance ~stage:"poll" (fun () ->
-        Cpu.charge sh.cpu ~cycles:t.costs.Nk_costs.ce_poll_iter)
+    Nkspan.charge t.spans ~component:sh.sinstance ~stage:"poll" sh.cpu
+      ~cycles:t.costs.Nk_costs.ce_poll_iter
   end
   else begin
     Nkmon.Registry.incr sh.ctr.c_sweeps;
@@ -786,12 +792,11 @@ and process t (sh : shard) =
       else (t.costs.Nk_costs.ce_switch, t.costs.Nk_costs.ce_poll_iter)
     in
     let cycles = per_sweep +. (float_of_int n *. per_nqe) in
-    Nkspan.frame t.spans ~component:sh.sinstance ~stage:"switch" (fun () ->
-        Cpu.exec sh.cpu ~cycles (fun () ->
-            for i = 0 to n - 1 do
-              dispatch t sh sh.sweep_src.(i) sh.sweep_raw.(i)
-            done;
-            process t sh))
+    Nkspan.exec t.spans ~component:sh.sinstance ~stage:"switch" sh.cpu ~cycles (fun () ->
+        for i = 0 to n - 1 do
+          dispatch t sh sh.sweep_src.(i) sh.sweep_raw.(i)
+        done;
+        process t sh)
   end
 
 and kick_shard t (sh : shard) =
@@ -846,8 +851,8 @@ let deregister_vm t ~vm_id =
   Hashtbl.remove t.buckets vm_id;
   Array.iter (fun sh -> Hashtbl.remove sh.deferred vm_id) t.shards;
   let keys =
-    Nkutil.Det_tbl.fold ~cmp:conn_key_cmp
-      (fun key _ acc -> if fst key = vm_id then key :: acc else acc)
+    Nkutil.Det_tbl.fold ~cmp:Int.compare
+      (fun key _ acc -> if key_vm key = vm_id then key :: acc else acc)
       t.conn_table []
   in
   List.iter (table_remove t) keys
@@ -871,7 +876,7 @@ let deregister_nsm t ~nsm_id =
   (* And forget its connection-table entries (satellite bugfix: a departed
      NSM used to leak them forever). *)
   let keys =
-    Nkutil.Det_tbl.fold ~cmp:conn_key_cmp
+    Nkutil.Det_tbl.fold ~cmp:Int.compare
       (fun key r acc -> if r.nsm_id = nsm_id then key :: acc else acc)
       t.conn_table []
   in
@@ -883,8 +888,9 @@ let crash_nsm t ~nsm_id =
   let victims =
     (* Ascending ⟨vm,sock⟩ order: reset-event delivery order is part of the
        deterministic execution. *)
-    Nkutil.Det_tbl.bindings ~cmp:conn_key_cmp t.conn_table
-    |> List.filter_map (fun (key, r) -> if r.nsm_id = nsm_id then Some key else None)
+    Nkutil.Det_tbl.bindings ~cmp:Int.compare t.conn_table
+    |> List.filter_map (fun (key, r) ->
+           if r.nsm_id = nsm_id then Some (key_vm key, key_sock key) else None)
   in
   deregister_nsm t ~nsm_id;
   (* Every socket the dead NSM served gets a reset event — an error, never

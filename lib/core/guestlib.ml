@@ -80,10 +80,6 @@ let stats t =
     send_eagain = R.counter_value t.ctr.c_send_eagain;
   }
 
-let nk_debug = Sys.getenv_opt "NKDEBUG" <> None
-
-let dbg fmt = if nk_debug then Printf.eprintf fmt else Printf.ifprintf stderr fmt
-
 let hash_qset t sock = sock * 2654435761 land max_int mod Cpu.Set.n t.cores
 
 let core_for cores gs = Cpu.Set.core cores gs.qset
@@ -93,31 +89,26 @@ let find t gid = Hashtbl.find_opt t.socks gid
 (* ---- epoll plumbing ----------------------------------------------------- *)
 
 let gsock_events costs socks gid =
-  match Hashtbl.find_opt socks gid with
-  | None -> { Types.readable = false; writable = false; hup = true }
-  | Some gs -> (
+  match Hashtbl.find socks gid with
+  | exception Not_found -> Types.events ~readable:false ~writable:false ~hup:true
+  | gs -> (
       match gs.state with
       | Gfresh | Gconnecting -> Types.no_events
-      | Gclosed -> { Types.readable = false; writable = false; hup = true }
+      | Gclosed -> Types.events ~readable:false ~writable:false ~hup:true
       | Glistening ->
           let hup = gs.err <> None in
-          {
-            Types.readable = (not (Queue.is_empty gs.acceptq)) || hup;
-            writable = false;
-            hup;
-          }
+          Types.events ~readable:((not (Queue.is_empty gs.acceptq)) || hup) ~writable:false ~hup
       | Gconnected ->
           let hup = gs.err <> None in
-          {
-            Types.readable = gs.recv_avail > 0 || (gs.eof && not gs.eof_delivered) || hup;
-            writable = gs.sendbuf_used < costs.Nk_costs.guest_sendbuf;
-            hup;
-          })
+          Types.events
+            ~readable:(gs.recv_avail > 0 || (gs.eof && not gs.eof_delivered) || hup)
+            ~writable:(gs.sendbuf_used < costs.Nk_costs.guest_sendbuf)
+            ~hup)
 
 let gsock_core cores socks gid =
-  match Hashtbl.find_opt socks gid with
-  | Some gs -> core_for cores gs
-  | None -> Cpu.Set.core cores 0
+  match Hashtbl.find socks gid with
+  | gs -> core_for cores gs
+  | exception Not_found -> Cpu.Set.core cores 0
 
 (* ---- NQE posting -------------------------------------------------------- *)
 
@@ -144,35 +135,42 @@ let post_op t gs op ?op_data ?data_ptr ?size ?synthetic ?span () =
 
 (* ---- inbound NQE processing ---------------------------------------------- *)
 
-let free_send_extent t (nqe : Nqe.t) =
+let free_send_extent t raw =
   Hugepages.free (Nk_device.hugepages t.device)
-    { Hugepages.offset = nqe.Nqe.data_ptr; len = nqe.Nqe.size }
+    { Hugepages.offset = Nqe.View.data_ptr raw; len = Nqe.View.size raw }
 
-let apply t (nqe : Nqe.t) =
+let op_err raw = Nqe.err_of_code (Nqe.View.op_data raw)
+
+(* Apply one inbound NQE, reading its fields straight from the wire bytes
+   ([Nqe.View]): only the fields an opcode uses are read, and no record is
+   built. [raw] must satisfy [Nqe.View.ok]. *)
+let apply t raw =
   Nkmon.Registry.incr t.ctr.c_nqes_rx;
+  let op = Nqe.View.op raw in
+  let sock = Nqe.View.sock raw in
   if Nkmon.tracing t.mon then
     Nkmon.event t.mon
       (Nkmon.Trace.Nqe_deliver
          {
            component = "guestlib";
            instance = Printf.sprintf "vm%d" t.vm_id;
-           qset = nqe.Nqe.qset;
-           op = Nqe.op_to_string nqe.Nqe.op;
+           qset = Nqe.View.qset raw;
+           op = Nqe.op_to_string op;
            vm_id = t.vm_id;
-           sock = nqe.Nqe.sock;
+           sock;
          });
-  let err = Nqe.err_of_code nqe.Nqe.op_data in
-  match nqe.Nqe.op with
+  match op with
   | Nqe.Comp_socket | Nqe.Comp_bind | Nqe.Comp_listen -> (
-      match find t nqe.Nqe.sock with
+      match find t sock with
       | None -> ()
       | Some gs ->
-          (match err with Some e -> gs.err <- Some e | None -> ());
+          (match op_err raw with Some e -> gs.err <- Some e | None -> ());
           Epoll_core.notify t.epolls gs.gid)
   | Nqe.Comp_connect -> (
-      match find t nqe.Nqe.sock with
+      match find t sock with
       | None -> ()
       | Some gs ->
+          let err = op_err raw in
           (match err with
           | None -> gs.state <- Gconnected
           | Some e ->
@@ -185,30 +183,32 @@ let apply t (nqe : Nqe.t) =
               k (match err with None -> Ok () | Some e -> Error e));
           Epoll_core.notify t.epolls gs.gid)
   | Nqe.Comp_send -> (
-      free_send_extent t nqe;
-      Nkspan.end_stage t.spans ~id:nqe.Nqe.span "completion";
-      Nkspan.finish t.spans ~id:nqe.Nqe.span;
-      match find t nqe.Nqe.sock with
+      free_send_extent t raw;
+      let span = Nqe.View.span raw in
+      Nkspan.end_stage t.spans ~id:span "completion";
+      Nkspan.finish t.spans ~id:span;
+      match find t sock with
       | None -> ()
       | Some gs ->
-          gs.sendbuf_used <- Int.max 0 (gs.sendbuf_used - nqe.Nqe.size);
-          (match err with Some e -> gs.err <- Some e | None -> ());
+          gs.sendbuf_used <- Int.max 0 (gs.sendbuf_used - Nqe.View.size raw);
+          (match op_err raw with Some e -> gs.err <- Some e | None -> ());
           if gs.close_pending && gs.sendbuf_used = 0 then begin
             gs.close_pending <- false;
             post_op t gs Nqe.Close ()
           end;
           Epoll_core.notify t.epolls gs.gid)
-  | Nqe.Comp_close -> Hashtbl.remove t.socks nqe.Nqe.sock
+  | Nqe.Comp_close -> Hashtbl.remove t.socks sock
   | Nqe.Ev_accept -> (
-      match find t nqe.Nqe.sock with
+      match find t sock with
       | None -> ()
       | Some lsock when lsock.state = Glistening ->
-          let gid = nqe.Nqe.size in
-          let peer = Nqe.unpack_addr nqe.Nqe.op_data in
+          let gid = Nqe.View.size raw in
+          let peer = Nqe.unpack_addr (Nqe.View.op_data raw) in
+          let qset = Nqe.View.qset raw in
           let gs =
             {
               gid;
-              qset = (if nqe.Nqe.qset < Cpu.Set.n t.cores then nqe.Nqe.qset else hash_qset t gid);
+              qset = (if qset < Cpu.Set.n t.cores then qset else hash_qset t gid);
               state = Gconnected;
               local = lsock.local;
               peer = Some peer;
@@ -237,34 +237,36 @@ let apply t (nqe : Nqe.t) =
           end
       | Some _ -> ())
   | Nqe.Ev_data -> (
-      match find t nqe.Nqe.sock with
+      match find t sock with
       | None ->
           (* Socket already closed locally: return the extent. *)
-          free_send_extent t nqe
+          free_send_extent t raw
       | Some gs ->
+          let size = Nqe.View.size raw in
           Queue.add
             {
-              extent = { Hugepages.offset = nqe.Nqe.data_ptr; len = nqe.Nqe.size };
+              extent = { Hugepages.offset = Nqe.View.data_ptr raw; len = size };
               off = 0;
-              synthetic = nqe.Nqe.synthetic;
+              synthetic = Nqe.View.synthetic raw;
             }
             gs.recvq;
-          gs.recv_avail <- gs.recv_avail + nqe.Nqe.size;
-          dbg "[%.4f] glib: gid=%x ev_data %d avail=%d\n" (Engine.now t.engine) gs.gid
-            nqe.Nqe.size gs.recv_avail;
-          Nkmon.Registry.add t.ctr.c_bytes_received nqe.Nqe.size;
+          gs.recv_avail <- gs.recv_avail + size;
+          if Nkutil.Debug.enabled then
+            Nkutil.Debug.printf "[%.4f] glib: gid=%x ev_data %d avail=%d\n"
+              (Engine.now t.engine) gs.gid size gs.recv_avail;
+          Nkmon.Registry.add t.ctr.c_bytes_received size;
           Epoll_core.notify t.epolls gs.gid)
   | Nqe.Ev_eof -> (
-      match find t nqe.Nqe.sock with
+      match find t sock with
       | None -> ()
       | Some gs ->
           gs.eof <- true;
           Epoll_core.notify t.epolls gs.gid)
   | Nqe.Ev_err -> (
-      match find t nqe.Nqe.sock with
+      match find t sock with
       | None -> ()
       | Some gs ->
-          (match err with Some e -> gs.err <- Some e | None -> gs.err <- Some Types.Econnreset);
+          (match op_err raw with Some e -> gs.err <- Some e | None -> gs.err <- Some Types.Econnreset);
           let e = Option.value gs.err ~default:Types.Econnreset in
           (match gs.on_connect with
           | None -> ()
@@ -310,16 +312,14 @@ let rec process_qset t qi =
         Nkspan.end_stage t.spans ~id:span "ring";
         Nkspan.begin_stage t.spans ~id:span ~component:t.instance "completion"
       done;
-    Nkspan.frame t.spans ~component:t.instance ~stage:"poll" (fun () ->
-        Cpu.exec (Cpu.Set.core t.cores qi) ~cycles (fun () ->
-            for i = 0 to n - 1 do
-              (* Endpoint apply needs the whole record. nkscope: decode-ok *)
-              match Nqe.decode qs.scratch.(i) with
-              | Error _ -> ()
-              | Ok nqe -> apply t nqe
-            done;
-            qs.last_active <- Engine.now t.engine;
-            process_qset t qi))
+    Nkspan.exec t.spans ~component:t.instance ~stage:"poll" (Cpu.Set.core t.cores qi) ~cycles
+      (fun () ->
+        for i = 0 to n - 1 do
+          let raw = qs.scratch.(i) in
+          if Nqe.View.ok raw then apply t raw
+        done;
+        qs.last_active <- Engine.now t.engine;
+        process_qset t qi)
   end
 
 let on_kick t qi =
@@ -444,19 +444,17 @@ let api t =
                      rides the NQE through the whole datapath. *)
                   let span = Nkspan.sample t.spans ~vm:t.instance in
                   Nkspan.begin_stage t.spans ~id:span ~component:t.instance "guestlib";
-                  Nkspan.frame t.spans ~component:t.instance ~stage:"send" (fun () ->
-                      Cpu.exec (core_for t.cores gs) ~cycles (fun () ->
-                          (match payload with
-                          | Types.Data s ->
-                              Hugepages.write_payload (Nk_device.hugepages t.device) extent
-                                (Types.Data
-                                   (if String.length s = n then s else String.sub s 0 n))
-                          | Types.Zeros _ -> ());
-                          Nkmon.Registry.add t.ctr.c_bytes_sent n;
-                          Nkspan.end_stage t.spans ~id:span "guestlib";
-                          post_op t gs Nqe.Send ~data_ptr:extent.Hugepages.offset ~size:n
-                            ~synthetic ~span ();
-                          k (Ok n))))
+                  Nkspan.exec t.spans ~component:t.instance ~stage:"send" (core_for t.cores gs)
+                    ~cycles (fun () ->
+                      (match payload with
+                      | Types.Data s ->
+                          Hugepages.write_string (Nk_device.hugepages t.device) extent s ~len:n
+                      | Types.Zeros _ -> ());
+                      Nkmon.Registry.add t.ctr.c_bytes_sent n;
+                      Nkspan.end_stage t.spans ~id:span "guestlib";
+                      post_op t gs Nqe.Send ~data_ptr:extent.Hugepages.offset ~size:n ~synthetic
+                        ~span ();
+                      k (Ok n)))
         | (Gfresh | Gconnecting | Glistening | Gclosed), None -> k (Error Types.Enotconn))
   in
   let recv gid ~max ~mode ~k =

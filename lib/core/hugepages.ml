@@ -10,7 +10,12 @@ type t = {
      observable contents are identical to an eagerly allocated region. *)
   mutable buf : bytes;
   size : int;
-  mutable free_list : (int * int) list; (* (offset, len), sorted by offset *)
+  (* The free list as a hole array: holes [0, n_holes) sorted by offset,
+     never adjacent (a free coalesces with its neighbours), updated in
+     place so keeping the free list allocates nothing. *)
+  mutable hole_off : int array;
+  mutable hole_len : int array;
+  mutable n_holes : int;
   mutable in_use : int;
   live : (int, int) Hashtbl.t; (* offset -> len, for double-free detection *)
   mon : Nkmon.t;
@@ -38,13 +43,16 @@ let create ?(page_size = 2 * 1024 * 1024) ?(pages = 32) ?(mon = Nkmon.null ())
     {
       buf = Bytes.create (Int.min size 4096);
       size;
-      free_list = [ (0, size) ];
+      hole_off = Array.make 16 0;
+      hole_len = Array.make 16 0;
+      n_holes = 1;
       in_use = 0;
       live = Hashtbl.create 64;
       mon;
       region;
     }
   in
+  t.hole_len.(0) <- size;
   Nkmon.sampler mon ~component:"hugepages" ~instance:region ~name:"bytes_in_use" (fun () ->
       float_of_int t.in_use);
   Nkmon.sampler mon ~component:"hugepages" ~instance:region ~name:"allocations" (fun () ->
@@ -65,23 +73,61 @@ let allocations t = Hashtbl.length t.live
 (* Round to 64-byte cache lines so adjacent extents don't false-share. *)
 let round n = (n + 63) land lnot 63
 
+(* Remove hole [i], closing the gap. *)
+let remove_hole t i =
+  let tail = t.n_holes - i - 1 in
+  Array.blit t.hole_off (i + 1) t.hole_off i tail;
+  Array.blit t.hole_len (i + 1) t.hole_len i tail;
+  t.n_holes <- t.n_holes - 1
+
+(* Open a hole at index [i], growing the arrays when full. *)
+let insert_hole t i ~off ~len =
+  if t.n_holes = Array.length t.hole_off then begin
+    let grow a =
+      let a' = Array.make (2 * Array.length a) 0 in
+      Array.blit a 0 a' 0 t.n_holes;
+      a'
+    in
+    t.hole_off <- grow t.hole_off;
+    t.hole_len <- grow t.hole_len
+  end;
+  let tail = t.n_holes - i in
+  Array.blit t.hole_off i t.hole_off (i + 1) tail;
+  Array.blit t.hole_len i t.hole_len (i + 1) tail;
+  t.hole_off.(i) <- off;
+  t.hole_len.(i) <- len;
+  t.n_holes <- t.n_holes + 1
+
+(* First fit: index of the lowest-offset hole of at least [need] bytes, or
+   [n_holes]. *)
+let rec first_fit t need i =
+  if i >= t.n_holes || t.hole_len.(i) >= need then i else first_fit t need (i + 1)
+
+(* Index of the first hole above [off] (binary search over [lo, hi)). *)
+let rec hole_above t off lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    if t.hole_off.(mid) > off then hole_above t off lo mid else hole_above t off (mid + 1) hi
+
 let alloc t n =
   if n <= 0 then invalid_arg "Hugepages.alloc: size must be positive";
   let need = round n in
-  let rec take acc = function
-    | [] -> None
-    | (off, len) :: rest when len >= need ->
-        let remainder = if len > need then [ (off + need, len - need) ] else [] in
-        t.free_list <- List.rev_append acc (remainder @ rest);
-        t.in_use <- t.in_use + need;
-        Hashtbl.replace t.live off need;
-        if Nkmon.tracing t.mon then
-          Nkmon.event t.mon
-            (Nkmon.Trace.Hugepage_alloc { region = t.region; offset = off; len = n });
-        Some { offset = off; len = n }
-    | hole :: rest -> take (hole :: acc) rest
-  in
-  take [] t.free_list
+  let i = first_fit t need 0 in
+  if i >= t.n_holes then None
+  else begin
+    let off = t.hole_off.(i) in
+    if t.hole_len.(i) > need then begin
+      t.hole_off.(i) <- off + need;
+      t.hole_len.(i) <- t.hole_len.(i) - need
+    end
+    else remove_hole t i;
+    t.in_use <- t.in_use + need;
+    Hashtbl.replace t.live off need;
+    if Nkmon.tracing t.mon then
+      Nkmon.event t.mon (Nkmon.Trace.Hugepage_alloc { region = t.region; offset = off; len = n });
+    Some { offset = off; len = n }
+  end
 
 let free t e =
   match Hashtbl.find_opt t.live e.offset with
@@ -92,38 +138,34 @@ let free t e =
       if Nkmon.tracing t.mon then
         Nkmon.event t.mon
           (Nkmon.Trace.Hugepage_free { region = t.region; offset = e.offset; len = e.len });
-      (* Insert sorted by offset, then coalesce adjacent holes. Both passes
-         are tail-recursive: a long-lived fragmented region accumulates
-         thousands of holes, and freeing must not grow the OCaml stack with
-         the free list. *)
-      let rec insert acc = function
-        | [] -> List.rev ((e.offset, rounded) :: acc)
-        | (off, len) :: rest ->
-            if e.offset < off then
-              List.rev_append acc ((e.offset, rounded) :: (off, len) :: rest)
-            else insert ((off, len) :: acc) rest
-      in
-      let coalesce holes =
-        let merged =
-          List.fold_left
-            (fun acc (o2, l2) ->
-              match acc with
-              | (o1, l1) :: tl when o1 + l1 = o2 -> (o1, l1 + l2) :: tl
-              | _ -> (o2, l2) :: acc)
-            [] holes
-        in
-        List.rev merged
-      in
-      t.free_list <- coalesce (insert [] t.free_list)
+      (* [i] = index of the first hole above the freed extent; merge with
+         the hole just below and/or the one just above when they touch. *)
+      let i = hole_above t e.offset 0 t.n_holes in
+      let joins_prev = i > 0 && t.hole_off.(i - 1) + t.hole_len.(i - 1) = e.offset in
+      let joins_next = i < t.n_holes && e.offset + rounded = t.hole_off.(i) in
+      if joins_prev && joins_next then begin
+        t.hole_len.(i - 1) <- t.hole_len.(i - 1) + rounded + t.hole_len.(i);
+        remove_hole t i
+      end
+      else if joins_prev then t.hole_len.(i - 1) <- t.hole_len.(i - 1) + rounded
+      else if joins_next then begin
+        t.hole_off.(i) <- e.offset;
+        t.hole_len.(i) <- t.hole_len.(i) + rounded
+      end
+      else insert_hole t i ~off:e.offset ~len:rounded
+
+let write_string t e s ~len =
+  if len < 0 || len > String.length s || len > e.len then
+    invalid_arg "Hugepages.write_string: slice out of string or extent";
+  ensure_backing t (e.offset + len);
+  Bytes.blit_string s 0 t.buf e.offset len
 
 let write_payload t e payload =
   let len = Tcpstack.Types.payload_len payload in
   if len > e.len then invalid_arg "Hugepages.write_payload: payload larger than extent";
   match payload with
   | Tcpstack.Types.Zeros _ -> ()
-  | Tcpstack.Types.Data s ->
-      ensure_backing t (e.offset + len);
-      Bytes.blit_string s 0 t.buf e.offset len
+  | Tcpstack.Types.Data s -> write_string t e s ~len
 
 let read_payload t e ~pos ~len ~synthetic =
   if pos < 0 || len < 0 || pos + len > e.len then

@@ -36,6 +36,10 @@ val write_payload : t -> extent -> Tcpstack.Types.payload -> unit
 (** Copy a payload into an extent ([Zeros] writes nothing). The payload
     must fit. *)
 
+val write_string : t -> extent -> string -> len:int -> unit
+(** Copy the first [len] bytes of a string into an extent (a partial send
+    copies its prefix straight from the caller's string). *)
+
 val read_payload : t -> extent -> pos:int -> len:int -> synthetic:bool ->
   Tcpstack.Types.payload
 (** Read [len] bytes starting at [pos] within the extent; returns [Zeros]

@@ -85,17 +85,14 @@ let ring t ~qset q =
   | `Send -> s.Queue_set.send
   | `Receive -> s.Queue_set.receive
 
-let flush_overflow t =
-  let rec loop () =
-    match Queue.peek_opt t.overflow with
-    | None -> ()
-    | Some o ->
-        if Nkutil.Spsc_ring.push (ring t ~qset:o.qset o.q) o.nqe then begin
-          ignore (Queue.pop t.overflow);
-          loop ()
-        end
-  in
-  loop ()
+let rec flush_overflow t =
+  if not (Queue.is_empty t.overflow) then begin
+    let o = Queue.peek t.overflow in
+    if Nkutil.Spsc_ring.push (ring t ~qset:o.qset o.q) o.nqe then begin
+      ignore (Queue.pop t.overflow);
+      flush_overflow t
+    end
+  end
 
 let trace_queue = function
   | `Job -> Nkmon.Trace.Job

@@ -275,15 +275,15 @@ let rec process_qset t qi =
     let cycles =
       t.costs.Nk_costs.service_poll +. (float_of_int n *. t.costs.Nk_costs.nqe_decode)
     in
-    Nkspan.frame t.spans ~component:t.instance ~stage:"dispatch" (fun () ->
-        Cpu.exec (Cpu.Set.core t.cores qi) ~cycles (fun () ->
-            for i = 0 to n - 1 do
-              (* Endpoint apply needs the whole record. nkscope: decode-ok *)
-              match Nqe.decode qs.scratch.(i) with
-              | Error _ -> ()
-              | Ok nqe -> apply t ~qset_idx:qi nqe
-            done;
-            process_qset t qi))
+    Nkspan.exec t.spans ~component:t.instance ~stage:"dispatch" (Cpu.Set.core t.cores qi)
+      ~cycles (fun () ->
+        for i = 0 to n - 1 do
+          (* Endpoint apply needs the whole record. nkscope: decode-ok *)
+          match Nqe.decode qs.scratch.(i) with
+          | Error _ -> ()
+          | Ok nqe -> apply t ~qset_idx:qi nqe
+        done;
+        process_qset t qi)
   end
 
 let on_kick t qi =

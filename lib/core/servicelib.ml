@@ -86,10 +86,6 @@ let stats t =
     bytes_to_vm = R.counter_value t.ctr.c_bytes_to_vm;
   }
 
-let nk_debug = Sys.getenv_opt "NKDEBUG" <> None
-
-let dbg fmt = if nk_debug then Printf.eprintf fmt else Printf.ifprintf stderr fmt
-
 let core_index t core =
   let cores = Cpu.Set.cores t.cores in
   let rec loop i = if i >= Array.length cores then 0 else if cores.(i) == core then i else loop (i + 1) in
@@ -205,7 +201,9 @@ let rec pump_recv t ss =
         let rec go () =
           let credit = t.costs.Nk_costs.nsm_rwnd - ss.recv_credit_used in
           if credit <= 0 then begin
-            dbg "[%.4f] slib: gid=%x credit exhausted\n" (Engine.now t.engine) ss.gid;
+            if Nkutil.Debug.enabled then
+              Nkutil.Debug.printf "[%.4f] slib: gid=%x credit exhausted\n"
+                (Engine.now t.engine) ss.gid;
             ss.recv_pumping <- false
           end
           else begin
@@ -329,24 +327,27 @@ let on_accept t vm (lsock : ssock) conn ~peer =
 
 (* ---- NQE dispatch ---------------------------------------------------------------- *)
 
-let lookup_or_create t vm (nqe : Nqe.t) =
-  match Hashtbl.find_opt vm.socks nqe.Nqe.sock with
-  | Some ss ->
-      ss.vm_qset <- nqe.Nqe.qset;
+let lookup_or_create vm ~op ~sock ~qset =
+  match Hashtbl.find vm.socks sock with
+  | ss ->
+      ss.vm_qset <- qset;
       Some ss
-  | None ->
-      if nqe.Nqe.op = Nqe.Socket then begin
-        let ss = fresh_ssock vm ~gid:nqe.Nqe.sock ~qset:nqe.Nqe.qset in
-        Hashtbl.replace vm.socks nqe.Nqe.sock ss;
+  | exception Not_found ->
+      if op = Nqe.Socket then begin
+        let ss = fresh_ssock vm ~gid:sock ~qset in
+        Hashtbl.replace vm.socks sock ss;
         Some ss
       end
-      else begin
-        ignore t;
-        None
-      end
+      else None
 
-let apply t ~qset_idx (nqe : Nqe.t) =
+(* Apply one NSM-bound NQE, reading its fields straight from the wire bytes
+   ([Nqe.View]); only the cold forwarding path decodes a record. [raw]
+   must satisfy [Nqe.View.ok]. *)
+let apply t ~qset_idx raw =
   Nkmon.Registry.incr t.ctr.c_nqes_rx;
+  let op = Nqe.View.op raw in
+  let vm_id = Nqe.View.vm_id raw in
+  let sock = Nqe.View.sock raw in
   if Nkmon.tracing t.mon then
     Nkmon.event t.mon
       (Nkmon.Trace.Nqe_deliver
@@ -354,20 +355,22 @@ let apply t ~qset_idx (nqe : Nqe.t) =
            component = "servicelib";
            instance = t.instance;
            qset = qset_idx;
-           op = Nqe.op_to_string nqe.Nqe.op;
-           vm_id = nqe.Nqe.vm_id;
-           sock = nqe.Nqe.sock;
+           op = Nqe.op_to_string op;
+           vm_id;
+           sock;
          });
-  match Hashtbl.find_opt t.vms nqe.Nqe.vm_id with
-  | None -> (
+  match Hashtbl.find t.vms vm_id with
+  | exception Not_found -> (
       (* The VM migrated away between this NQE's drain and its apply (the
          scratch window): forward it to wherever the VM's stack now lives
          instead of dropping or error-replying. *)
-      match Hashtbl.find_opt t.vm_forwarders nqe.Nqe.vm_id with
-      | Some forward -> forward nqe
+      match Hashtbl.find_opt t.vm_forwarders vm_id with
+      | Some forward -> (
+          (* A forwarded NQE travels as a record. nkscope: decode-ok *)
+          match Nqe.decode raw with Ok nqe -> forward nqe | Error _ -> ())
       | None -> ())
-  | Some vm -> (
-      match lookup_or_create t vm nqe with
+  | vm -> (
+      match lookup_or_create vm ~op ~sock ~qset:(Nqe.View.qset raw) with
       | None -> (
           (* A socket this NSM never saw — e.g. an NQE re-routed here after
              the socket's original NSM crashed. Complete it with an error so
@@ -378,21 +381,21 @@ let apply t ~qset_idx (nqe : Nqe.t) =
             Cpu.charge (Cpu.Set.core t.cores qset_idx) ~cycles:t.costs.Nk_costs.nqe_encode;
             Nk_device.post t.device ~qset:qset_idx `Completion
               (Nqe.encode
-                 (Nqe.make ~op ~vm_id:nqe.Nqe.vm_id ~qset:nqe.Nqe.qset ~sock:nqe.Nqe.sock
-                    ~op_data ~data_ptr:nqe.Nqe.data_ptr ~size:nqe.Nqe.size
-                    ~span:nqe.Nqe.span ()))
+                 (Nqe.make ~op ~vm_id ~qset:(Nqe.View.qset raw) ~sock ~op_data
+                    ~data_ptr:(Nqe.View.data_ptr raw) ~size:(Nqe.View.size raw)
+                    ~span:(Nqe.View.span raw) ()))
           in
-          match nqe.Nqe.op with
+          match op with
           | Nqe.Send -> reply Nqe.Comp_send ~op_data:(Nqe.err_code Types.Econnreset)
           | Nqe.Close -> reply Nqe.Comp_close ~op_data:Nqe.ok_code
           | Nqe.Connect -> reply Nqe.Comp_connect ~op_data:(Nqe.err_code Types.Econnreset)
           | _ -> ())
       | Some ss -> (
           if ss.conn = None && ss.listener = None then ss.nsm_qset <- qset_idx;
-          match nqe.Nqe.op with
+          match op with
           | Nqe.Socket -> post_result t ss Nqe.Comp_socket None
           | Nqe.Bind ->
-              ss.bound <- Some (Nqe.unpack_addr nqe.Nqe.op_data);
+              ss.bound <- Some (Nqe.unpack_addr (Nqe.View.op_data raw));
               post_result t ss Nqe.Comp_bind None
           | Nqe.Listen -> (
               match ss.bound with
@@ -400,7 +403,7 @@ let apply t ~qset_idx (nqe : Nqe.t) =
               | Some addr -> (
                   match
                     t.ops.Stack_ops.new_listener ~addr
-                      ~backlog:(Int64.to_int nqe.Nqe.op_data)
+                      ~backlog:(Int64.to_int (Nqe.View.op_data raw))
                       ~on_accept:(fun conn ~peer -> on_accept t vm ss conn ~peer)
                   with
                   | Ok l ->
@@ -408,7 +411,7 @@ let apply t ~qset_idx (nqe : Nqe.t) =
                       post_result t ss Nqe.Comp_listen None
                   | Error e -> post_result t ss Nqe.Comp_listen (Some e)))
           | Nqe.Connect ->
-              let dst = Nqe.unpack_addr nqe.Nqe.op_data in
+              let dst = Nqe.unpack_addr (Nqe.View.op_data raw) in
               t.ops.Stack_ops.connect ~dst ~k:(fun r ->
                   match r with
                   | Ok conn ->
@@ -421,17 +424,19 @@ let apply t ~qset_idx (nqe : Nqe.t) =
           | Nqe.Send ->
               Queue.add
                 {
-                  extent = { Hugepages.offset = nqe.Nqe.data_ptr; len = nqe.Nqe.size };
+                  extent = { Hugepages.offset = Nqe.View.data_ptr raw; len = Nqe.View.size raw };
                   off = 0;
-                  p_synthetic = nqe.Nqe.synthetic;
-                  p_span = nqe.Nqe.span;
+                  p_synthetic = Nqe.View.synthetic raw;
+                  p_span = Nqe.View.span raw;
                 }
                 ss.sendq;
               pump_send t ss
           | Nqe.Recv_done ->
-              ss.recv_credit_used <- Int.max 0 (ss.recv_credit_used - nqe.Nqe.size);
-              dbg "[%.4f] slib: gid=%x recv_done %d -> used %d\n" (Engine.now t.engine)
-                ss.gid nqe.Nqe.size ss.recv_credit_used;
+              let size = Nqe.View.size raw in
+              ss.recv_credit_used <- Int.max 0 (ss.recv_credit_used - size);
+              if Nkutil.Debug.enabled then
+                Nkutil.Debug.printf "[%.4f] slib: gid=%x recv_done %d -> used %d\n"
+                  (Engine.now t.engine) ss.gid size ss.recv_credit_used;
               pump_recv t ss
           | Nqe.Close ->
               ss.closing <- true;
@@ -468,15 +473,13 @@ and process_qset_live t qi =
     let cycles =
       t.costs.Nk_costs.service_poll +. (float_of_int n *. t.costs.Nk_costs.nqe_decode)
     in
-    Nkspan.frame t.spans ~component:t.instance ~stage:"dispatch" (fun () ->
-        Cpu.exec (Cpu.Set.core t.cores qi) ~cycles (fun () ->
-            for i = 0 to n - 1 do
-              (* Endpoint apply needs the whole record. nkscope: decode-ok *)
-              match Nqe.decode qs.scratch.(i) with
-              | Error _ -> ()
-              | Ok nqe -> apply t ~qset_idx:qi nqe
-            done;
-            process_qset t qi))
+    Nkspan.exec t.spans ~component:t.instance ~stage:"dispatch" (Cpu.Set.core t.cores qi)
+      ~cycles (fun () ->
+        for i = 0 to n - 1 do
+          let raw = qs.scratch.(i) in
+          if Nqe.View.ok raw then apply t ~qset_idx:qi raw
+        done;
+        process_qset t qi)
   end
 
 let on_kick t qi =

@@ -156,8 +156,8 @@ let emit t (h : Hcb.t) seg =
     p.Sim.Cost_profile.per_chunk_tx
     +. (p.Sim.Cost_profile.per_byte_tx *. float_of_int seg.Segment.len)
   in
-  Nkspan.frame t.spans ~component:"homastack" ~stage:"tx" (fun () ->
-      Cpu.exec h.Hcb.core ~cycles (fun () -> Vswitch.output t.vswitch seg))
+  Nkspan.exec t.spans ~component:"homastack" ~stage:"tx" h.Hcb.core ~cycles (fun () ->
+      Vswitch.output t.vswitch seg)
 
 let send_request t (h : Hcb.t) =
   emit t h (Segment.make ~flow:h.Hcb.flow ~seq:h.Hcb.cid ~ack:0 ~syn:true ())
@@ -294,8 +294,8 @@ let rx_cycles t (seg : Segment.t) =
 
 let conn_input t (h : Hcb.t) (seg : Segment.t) =
   if not h.Hcb.destroyed then begin
-    Nkspan.frame t.spans ~component:"homastack" ~stage:"rx" (fun () ->
-        Cpu.charge h.Hcb.core ~cycles:(rx_cycles t seg));
+    Nkspan.charge t.spans ~component:"homastack" ~stage:"rx" h.Hcb.core
+      ~cycles:(rx_cycles t seg);
     if seg.Segment.rst then
       conn_fail t h
         (if h.Hcb.state = Hcb.Opening then Types.Econnrefused else Types.Econnreset)

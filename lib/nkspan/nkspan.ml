@@ -324,6 +324,14 @@ let frame t ~component ~stage f =
       f
   end
 
+let exec t ~component ~stage core ~cycles k =
+  if not t.profiling then Sim.Cpu.exec core ~cycles k
+  else frame t ~component ~stage (fun () -> Sim.Cpu.exec core ~cycles k)
+
+let charge t ~component ~stage core ~cycles =
+  if not t.profiling then Sim.Cpu.charge core ~cycles
+  else frame t ~component ~stage (fun () -> Sim.Cpu.charge core ~cycles)
+
 type cell = { p_comp : string; p_stage : string; p_cycles : float }
 
 let key_cmp = Nkutil.Det_tbl.pair String.compare String.compare

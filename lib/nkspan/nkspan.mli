@@ -134,6 +134,17 @@ val frame : t -> component:string -> stage:string -> (unit -> 'a) -> 'a
     [Cpu.exec] call time, so wrapping the dispatch call attributes them
     correctly even though the continuation runs later. *)
 
+val exec :
+  t -> component:string -> stage:string -> Sim.Cpu.t -> cycles:float -> (unit -> unit) -> unit
+(** [exec t ~component ~stage core ~cycles k] is
+    [frame t ~component ~stage (fun () -> Sim.Cpu.exec core ~cycles k)],
+    except that with the profiler off it builds no frame thunk: the
+    datapath's per-burst dispatch allocates nothing for attribution it
+    does not record. *)
+
+val charge : t -> component:string -> stage:string -> Sim.Cpu.t -> cycles:float -> unit
+(** [Sim.Cpu.charge] inside a frame, with the same no-thunk fast path. *)
+
 type cell = { p_comp : string; p_stage : string; p_cycles : float }
 
 val profile_table : t -> cell list

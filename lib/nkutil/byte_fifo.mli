@@ -3,7 +3,13 @@
     TCP socket buffers need an ordered byte queue. Performance experiments
     push gigabytes of payload whose content is irrelevant, so the FIFO also
     supports zero-runs that occupy O(1) memory; correctness tests use real
-    bytes and verify exact delivery. *)
+    bytes and verify exact delivery.
+
+    Aliasing contract: queued data is never mutated. [write]/[write_string]
+    keep a reference to the caller's string (strings are immutable, so no
+    copy is needed), [write_bytes] copies its slice, and [read] may return
+    a queued string itself when the request covers exactly one whole
+    string-backed chunk. *)
 
 type t
 
@@ -15,16 +21,22 @@ val length : t -> int
 val is_empty : t -> bool
 
 val write : t -> string -> unit
-(** Enqueue the bytes of a string. *)
+(** Enqueue the bytes of a string (by reference, see {!write_string}). *)
+
+val write_string : t -> string -> pos:int -> len:int -> unit
+(** Enqueue a slice of a string without copying it: the FIFO shares the
+    string until the slice has been read. *)
 
 val write_bytes : t -> bytes -> pos:int -> len:int -> unit
-(** Enqueue a slice (copied). *)
+(** Enqueue a slice (copied: later mutation of [b] does not show). *)
 
 val write_zeros : t -> int -> unit
 (** Enqueue [n] zero bytes in O(1) space. *)
 
 val read : t -> int -> string
-(** [read t n] dequeues [min n (length t)] bytes as a string. *)
+(** [read t n] dequeues [min n (length t)] bytes as a string. When those
+    bytes are exactly one whole queued string, that string is returned
+    without a copy. *)
 
 val next_run : t -> [ `Data of int | `Zeros of int ] option
 (** Kind and length of the leading homogeneous run, letting callers

@@ -58,27 +58,17 @@ let pop_batch t ~max =
   in
   loop 0 []
 
-let pop_slice t buf ~pos ~max =
-  let rec loop i =
-    if i >= max then i
-    else
-      match pop t with
-      | None -> i
-      | Some x ->
-          buf.(pos + i) <- x;
-          loop (i + 1)
-  in
-  loop 0
+(* Top-level rather than a local closure: the batch pops run once per poll
+   and must not allocate. *)
+let rec pop_slice_from t buf pos max i =
+  if i >= max then i
+  else
+    match pop t with
+    | None -> i
+    | Some x ->
+        buf.(pos + i) <- x;
+        pop_slice_from t buf pos max (i + 1)
 
-let pop_into t buf =
-  let max = Array.length buf in
-  let rec loop i =
-    if i >= max then i
-    else
-      match pop t with
-      | None -> i
-      | Some x ->
-          buf.(i) <- x;
-          loop (i + 1)
-  in
-  loop 0
+let pop_slice t buf ~pos ~max = pop_slice_from t buf pos max 0
+
+let pop_into t buf = pop_slice_from t buf 0 (Array.length buf) 0

@@ -1,53 +1,48 @@
+(* The mutable clocks live in an all-float record, which OCaml stores
+   unboxed: updating them on every [exec]/[charge] allocates nothing,
+   where a float field of a mixed record boxes each new value. *)
+type acct = { mutable free_at : float; mutable busy_cycles : float }
+
 type t = {
   engine : Engine.t;
   name : string;
   freq : float; (* Hz *)
-  mutable free_at : float;
-  mutable busy_cycles : float;
-  mutable accounting_since : float;
+  acct : acct;
 }
 
 let create engine ?(freq_ghz = 2.3) ~name () =
-  { engine; name; freq = freq_ghz *. 1e9; free_at = 0.0; busy_cycles = 0.0;
-    accounting_since = Engine.now engine }
+  { engine; name; freq = freq_ghz *. 1e9;
+    acct = { free_at = 0.0; busy_cycles = 0.0 } }
 
 let name t = t.name
 let engine t = t.engine
 let freq_hz t = t.freq
 
-let exec t ~cycles k =
-  let cycles = Float.max 0.0 cycles in
-  let now = Engine.now t.engine in
-  let start = Float.max now t.free_at in
-  let finish = start +. (cycles /. t.freq) in
-  t.free_at <- finish;
-  t.busy_cycles <- t.busy_cycles +. cycles;
-  Engine.emit_cycles t.engine ~core:t.name cycles;
-  ignore (Engine.schedule_at t.engine ~at:finish k)
-
 let charge t ~cycles =
   let cycles = Float.max 0.0 cycles in
-  let now = Engine.now t.engine in
-  let start = Float.max now t.free_at in
-  t.free_at <- start +. (cycles /. t.freq);
-  t.busy_cycles <- t.busy_cycles +. cycles;
+  let a = t.acct in
+  let start = Float.max (Engine.now t.engine) a.free_at in
+  a.free_at <- start +. (cycles /. t.freq);
+  a.busy_cycles <- a.busy_cycles +. cycles;
   Engine.emit_cycles t.engine ~core:t.name cycles
 
-let free_at t = t.free_at
+let exec t ~cycles k =
+  charge t ~cycles;
+  ignore (Engine.schedule_at t.engine ~at:t.acct.free_at k)
 
-let backlog t = Float.max 0.0 (t.free_at -. Engine.now t.engine)
+let free_at t = t.acct.free_at
 
-let busy_cycles t = t.busy_cycles
+let backlog t = Float.max 0.0 (t.acct.free_at -. Engine.now t.engine)
 
-let busy_seconds t = t.busy_cycles /. t.freq
+let busy_cycles t = t.acct.busy_cycles
+
+let busy_seconds t = t.acct.busy_cycles /. t.freq
 
 let utilization t ~since =
   let elapsed = Engine.now t.engine -. since in
   if elapsed <= 0.0 then 0.0 else Float.min 1.0 (busy_seconds t /. elapsed)
 
-let reset_accounting t =
-  t.busy_cycles <- 0.0;
-  t.accounting_since <- Engine.now t.engine
+let reset_accounting t = t.acct.busy_cycles <- 0.0
 
 module Set = struct
   type core = t
@@ -71,11 +66,11 @@ module Set = struct
     let n = Array.length t.cores in
     t.cores.((hash land max_int) mod n)
 
-  let total_busy_cycles t = Array.fold_left (fun acc c -> acc +. c.busy_cycles) 0.0 t.cores
+  let total_busy_cycles t = Array.fold_left (fun acc c -> acc +. c.acct.busy_cycles) 0.0 t.cores
 
   let least_loaded t =
     let best = ref t.cores.(0) in
-    Array.iter (fun c -> if c.free_at < !best.free_at then best := c) t.cores;
+    Array.iter (fun c -> if c.acct.free_at < !best.acct.free_at then best := c) t.cores;
     !best
 
   let reset_accounting t = Array.iter reset_accounting t.cores

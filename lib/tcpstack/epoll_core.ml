@@ -6,10 +6,13 @@ type waiter = {
   mutable timer : Engine.Timer.t option;
 }
 
-(* One epoll instance. *)
+(* One epoll instance. The ready set is a sorted fd array updated in place,
+   so readiness changes cost no allocation and a wake reads it out in
+   ascending-fd order without a per-wake sort. *)
 type ep = {
   members : (Socket_api.sock, Types.events) Hashtbl.t; (* fd -> interest mask *)
-  ready : (Socket_api.sock, unit) Hashtbl.t;
+  mutable ready : Socket_api.sock array; (* [0, n_ready) ascending *)
+  mutable n_ready : int;
   mutable waiter : waiter option;
 }
 
@@ -26,29 +29,63 @@ type t = {
   mutable next_ep : int;
 }
 
-let nonempty (e : Types.events) = e.Types.readable || e.Types.writable || e.Types.hup
-
 let create ~engine ~events_of ~core_of ~wake_cycles () =
   { engine; events_of; core_of; wake_cycles; epolls = Hashtbl.create 8;
     memberships = Hashtbl.create 64; next_ep = 1 }
 
-let masked ep fd (ev : Types.events) =
-  match Hashtbl.find_opt ep.members fd with
-  | None -> Types.no_events
-  | Some mask ->
-      {
-        Types.readable = ev.Types.readable && mask.Types.readable;
-        writable = ev.Types.writable && mask.Types.writable;
-        hup = ev.Types.hup;
-      }
+(* [ev] restricted to [mask] (hup is always reported). *)
+let masked (mask : Types.events) (ev : Types.events) =
+  Types.events
+    ~readable:(ev.Types.readable && mask.Types.readable)
+    ~writable:(ev.Types.writable && mask.Types.writable)
+    ~hup:ev.Types.hup
 
+let nonempty (e : Types.events) = e.Types.readable || e.Types.writable || e.Types.hup
+
+(* ---- the sorted ready set ---- *)
+
+(* Index of the first ready fd >= [fd] (binary search over [lo, hi)). *)
+let rec ready_pos ep fd lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    if ep.ready.(mid) < fd then ready_pos ep fd (mid + 1) hi else ready_pos ep fd lo mid
+
+let mark_ready ep fd =
+  let i = ready_pos ep fd 0 ep.n_ready in
+  if i = ep.n_ready || ep.ready.(i) <> fd then begin
+    if ep.n_ready = Array.length ep.ready then begin
+      let grown = Array.make (2 * ep.n_ready) 0 in
+      Array.blit ep.ready 0 grown 0 ep.n_ready;
+      ep.ready <- grown
+    end;
+    Array.blit ep.ready i ep.ready (i + 1) (ep.n_ready - i);
+    ep.ready.(i) <- fd;
+    ep.n_ready <- ep.n_ready + 1
+  end
+
+let unmark_ready ep fd =
+  let i = ready_pos ep fd 0 ep.n_ready in
+  if i < ep.n_ready && ep.ready.(i) = fd then begin
+    Array.blit ep.ready (i + 1) ep.ready i (ep.n_ready - i - 1);
+    ep.n_ready <- ep.n_ready - 1
+  end
+
+(* The ready members that are still ready under their mask, ascending fd:
+   the order epoll_wait hands out events is application-visible and must
+   not depend on hash-bucket layout. *)
 let ready_list t ep =
-  (* Ascending-fd readiness order: the order epoll_wait hands out events is
-     application-visible and must not depend on hash-bucket layout. *)
-  Nkutil.Det_tbl.bindings ~cmp:Int.compare ep.ready
-  |> List.filter_map (fun (fd, ()) ->
-         let ev = masked ep fd (t.events_of fd) in
-         if nonempty ev then Some (fd, ev) else None)
+  let rec build i acc =
+    if i < 0 then acc
+    else
+      let fd = ep.ready.(i) in
+      match Hashtbl.find ep.members fd with
+      | exception Not_found -> build (i - 1) acc
+      | mask ->
+          let ev = masked mask (t.events_of fd) in
+          build (i - 1) (if nonempty ev then (fd, ev) :: acc else acc)
+  in
+  build (ep.n_ready - 1) []
 
 let try_wake t ep core =
   match ep.waiter with
@@ -62,31 +99,34 @@ let try_wake t ep core =
           Cpu.exec core ~cycles:t.wake_cycles (fun () -> w.k events))
 
 let notify_one t ep fd =
-  if Hashtbl.mem ep.members fd then begin
-    let ev = masked ep fd (t.events_of fd) in
-    if nonempty ev then begin
-      Hashtbl.replace ep.ready fd ();
-      try_wake t ep (t.core_of fd)
-    end
-    else Hashtbl.remove ep.ready fd
-  end
+  match Hashtbl.find ep.members fd with
+  | exception Not_found -> ()
+  | mask ->
+      if nonempty (masked mask (t.events_of fd)) then begin
+        mark_ready ep fd;
+        try_wake t ep (t.core_of fd)
+      end
+      else unmark_ready ep fd
 
 let remove_member ep fd =
   Hashtbl.remove ep.members fd;
-  Hashtbl.remove ep.ready fd
+  unmark_ready ep fd
 
 (* Both walk only [fd]'s own epolls; [notify] runs on every socket event, so
-   a descriptor in no epoll costs one failed lookup and no allocation. *)
+   it allocates nothing and a descriptor in no epoll costs one failed
+   lookup. *)
+let rec notify_each t fd = function
+  | [] -> ()
+  | epid :: rest ->
+      (match Hashtbl.find t.epolls epid with
+      | exception Not_found -> ()
+      | ep -> notify_one t ep fd);
+      notify_each t fd rest
+
 let notify t fd =
-  match Hashtbl.find_opt t.memberships fd with
-  | None -> ()
-  | Some eps ->
-      List.iter
-        (fun epid ->
-          match Hashtbl.find_opt t.epolls epid with
-          | None -> ()
-          | Some ep -> notify_one t ep fd)
-        eps
+  match Hashtbl.find t.memberships fd with
+  | exception Not_found -> ()
+  | eps -> notify_each t fd eps
 
 let forget t fd =
   match Hashtbl.find_opt t.memberships fd with
@@ -104,7 +144,7 @@ let epoll_create t () =
   let epid = t.next_ep in
   t.next_ep <- t.next_ep + 1;
   Hashtbl.replace t.epolls epid
-    { members = Hashtbl.create 64; ready = Hashtbl.create 64; waiter = None };
+    { members = Hashtbl.create 64; ready = Array.make 16 0; n_ready = 0; waiter = None };
   epid
 
 let epoll_add t epid fd ~mask =

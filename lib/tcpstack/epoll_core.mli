@@ -22,8 +22,9 @@ val create :
 
 val notify : t -> Socket_api.sock -> unit
 (** Tell every epoll [fd] is a member of that its readiness may have changed
-    (each re-reads [events_of]), most recently added epoll first. Cheap
-    no-op for a descriptor in no epoll. *)
+    (each re-reads [events_of]), most recently added epoll first. With an
+    allocation-free [events_of] it allocates nothing unless it wakes a
+    waiter; a cheap no-op for a descriptor in no epoll. *)
 
 val forget : t -> Socket_api.sock -> unit
 (** The descriptor was closed: remove it from every epoll it is a member

@@ -31,7 +31,7 @@ let events_of ops fds fd =
   match Hashtbl.find_opt fds fd with
   | None | Some (Fresh _) -> Types.no_events
   | Some (Lst l) ->
-      { Types.readable = not (Queue.is_empty l.pending); writable = false; hup = false }
+      Types.events ~readable:(not (Queue.is_empty l.pending)) ~writable:false ~hup:false
   | Some (Cn c) -> ops.Stack_ops.conn_events c
 
 let core_of ops fds fd =

@@ -192,16 +192,14 @@ let user_copy_cycles t n =
 let sock_events _t s =
   match s.kind with
   | Fresh -> Types.no_events
-  | Sclosed -> { Types.readable = false; writable = false; hup = true }
+  | Sclosed -> Types.events ~readable:false ~writable:false ~hup:true
   | Listener l ->
-      { Types.readable = not (Queue.is_empty l.accept_q); writable = false; hup = false }
+      Types.events ~readable:(not (Queue.is_empty l.accept_q)) ~writable:false ~hup:false
   | Conn c ->
       let hup = c.error <> None || Tcb.state c.tcb = Tcb.Closed in
-      {
-        Types.readable = Tcb.readable_bytes c.tcb > 0 || Tcb.eof_pending c.tcb || hup;
-        writable = Tcb.writable c.tcb;
-        hup;
-      }
+      Types.events
+        ~readable:(Tcb.readable_bytes c.tcb > 0 || Tcb.eof_pending c.tcb || hup)
+        ~writable:(Tcb.writable c.tcb) ~hup
 
 let notify t s = match s.handler with None -> () | Some h -> h (sock_events t s)
 
@@ -452,12 +450,11 @@ let rec drain_interrupt t qi =
         else 0.0
       in
       q.batch_left <- q.batch_left - 1;
-      Nkspan.frame t.spans ~component:t.name ~stage:"rx" (fun () ->
-          Cpu.exec core
-            ~cycles:(interrupt_share +. seg_rx_cycles t seg)
-            (fun () ->
-              deliver t seg;
-              drain_interrupt t qi))
+      Nkspan.exec t.spans ~component:t.name ~stage:"rx" core
+        ~cycles:(interrupt_share +. seg_rx_cycles t seg)
+        (fun () ->
+          deliver t seg;
+          drain_interrupt t qi)
 
 let rec poll_loop t qi =
   let q = t.rx.(qi) in
@@ -467,19 +464,17 @@ let rec poll_loop t qi =
   | [] ->
       ignore
         (Engine.schedule t.engine ~delay:t.cfg.poll_idle_delay (fun () ->
-             Nkspan.frame t.spans ~component:t.name ~stage:"poll" (fun () ->
-                 Cpu.exec core ~cycles:t.cfg.profile.poll_iter (fun () ->
-                     poll_loop t qi))))
+             Nkspan.exec t.spans ~component:t.name ~stage:"poll" core
+               ~cycles:t.cfg.profile.poll_iter (fun () -> poll_loop t qi)))
   | segs ->
       let cycles =
         List.fold_left
           (fun acc seg -> acc +. seg_rx_cycles t seg)
           t.cfg.profile.poll_iter segs
       in
-      Nkspan.frame t.spans ~component:t.name ~stage:"rx" (fun () ->
-          Cpu.exec core ~cycles (fun () ->
-              List.iter (deliver t) segs;
-              poll_loop t qi))
+      Nkspan.exec t.spans ~component:t.name ~stage:"rx" core ~cycles (fun () ->
+          List.iter (deliver t) segs;
+          poll_loop t qi)
 
 let input t (seg : Segment.t) =
   Nkmon.Registry.incr t.ctr.c_segs_rx;

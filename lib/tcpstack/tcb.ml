@@ -206,8 +206,8 @@ and on_rto t =
   match Queue.peek_opt t.retxq with
   | None -> ()
   | Some item ->
-      if Sys.getenv_opt "NKDEBUG" <> None then
-        Printf.eprintf "[%.4f] RTO %s seq=%d len=%d retx=%d state=%s cwnd=%d sndwnd=%d inflight=%d pending=%d\n"
+      if Nkutil.Debug.enabled then
+        Nkutil.Debug.printf "[%.4f] RTO %s seq=%d len=%d retx=%d state=%s cwnd=%d sndwnd=%d inflight=%d pending=%d\n"
           (t.act.now ()) (Format.asprintf "%a" Addr.Flow.pp t.flow) item.seq item.len
           item.retx (state_to_string t.state) (t.cc.Cc.cwnd ()) t.snd_wnd (inflight t)
           t.send_pending;
@@ -472,8 +472,8 @@ let process_payload t (seg : Segment.t) =
            sender's chunk sizes (Linux tcp_moderate_rcvbuf). *)
         if t.recv_ready > t.rwnd_limit / 2 && t.rwnd_limit < t.cfg.rwnd_max then begin
           t.rwnd_limit <- Int.min t.cfg.rwnd_max (2 * t.rwnd_limit);
-          if Sys.getenv_opt "NKDEBUG" <> None then
-            Printf.eprintf "[%.4f] autotune %s rwnd->%d\n" (t.act.now ())
+          if Nkutil.Debug.enabled then
+            Nkutil.Debug.printf "[%.4f] autotune %s rwnd->%d\n" (t.act.now ())
               (Format.asprintf "%a" Addr.Flow.pp t.flow)
               t.rwnd_limit
         end
@@ -572,8 +572,7 @@ let write t payload =
     if accept > 0 then begin
       (match payload with
       | Types.Data s ->
-          Nkutil.Byte_fifo.write_bytes t.write_fifo (Bytes.unsafe_of_string s) ~pos:0
-            ~len:accept
+          Nkutil.Byte_fifo.write_string t.write_fifo s ~pos:0 ~len:accept
       | Types.Zeros _ -> Nkutil.Byte_fifo.write_zeros t.write_fifo accept);
       t.send_pending <- t.send_pending + accept;
       try_output t

@@ -32,4 +32,13 @@ type recv_mode = [ `Copy | `Discard | `Auto ]
 
 type events = { readable : bool; writable : bool; hup : bool }
 
-let no_events = { readable = false; writable = false; hup = false }
+(* All eight readiness snapshots, built once: [events] hands out a shared
+   immutable value instead of allocating one per readiness query. *)
+let all_events =
+  Array.init 8 (fun i ->
+      { readable = i land 1 <> 0; writable = i land 2 <> 0; hup = i land 4 <> 0 })
+
+let events ~readable ~writable ~hup =
+  all_events.(Bool.to_int readable lor (Bool.to_int writable lsl 1) lor (Bool.to_int hup lsl 2))
+
+let no_events = all_events.(0)

@@ -33,4 +33,8 @@ type recv_mode = [ `Copy | `Discard | `Auto ]
 
 type events = { readable : bool; writable : bool; hup : bool }
 
+val events : readable:bool -> writable:bool -> hup:bool -> events
+(** The snapshot with these flags, without allocating (all eight are
+    preallocated and shared; events are immutable). *)
+
 val no_events : events

@@ -26,4 +26,5 @@ let () =
       ("nkspan", Test_nkspan.tests);
       ("nklint", Test_nkscope.site_tests);
       ("nkscope", Test_nkscope.tests);
+      ("alloc", Test_alloc.tests);
     ]

@@ -168,7 +168,23 @@ let d3_poly_compare () =
   check_diags "monomorphic comparator is silent" []
     "let s l = List.sort Int.compare l";
   check_diags "a local compare shadow is not Stdlib.compare" []
-    "let compare = Int.compare\nlet s a = Array.sort compare a"
+    "let compare = Int.compare\nlet s a = Array.sort compare a";
+  (* D3 reads the instantiated type: at a base type polymorphic compare is
+     the monomorphic comparator; at any other type it still fires. *)
+  List.iter
+    (fun ty ->
+      check_diags ("compare at " ^ ty ^ " is silent") []
+        (Printf.sprintf "let s (l : %s list) = List.sort compare l" ty))
+    [ "int"; "float"; "string"; "char"; "bool" ];
+  check_diags "compare at a tuple type flagged"
+    [ ("D3", 1) ]
+    "let s (l : (int * int) list) = List.sort compare l";
+  check_diags "compare at int option flagged"
+    [ ("D3", 1) ]
+    "let s (a : int option array) = Array.sort compare a";
+  check_diags "compare at an abbreviation of int flagged"
+    [ ("D3", 2) ]
+    "type id = int\nlet s (l : id list) = List.sort compare l"
 
 (* ---- D4: Obj.magic and exception swallowing --------------------------- *)
 

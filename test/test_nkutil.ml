@@ -248,6 +248,68 @@ let byte_fifo_transfer () =
   | Some (`Zeros 3) -> ()
   | _ -> Alcotest.fail "zeros preserved compactly"
 
+(* The aliasing contract: [write_string] shares the caller's string,
+   [write_bytes] copies, and every reader returns exactly the bytes
+   written even when chunks are shared between FIFOs. *)
+let byte_fifo_aliasing () =
+  let f = BF.create () in
+  let s = String.init 64 (fun i -> Char.chr (48 + (i mod 40))) in
+  BF.write_string f s ~pos:0 ~len:64;
+  Alcotest.(check bool) "whole-chunk read returns the string itself" true (BF.read f 64 == s);
+  (* write_bytes copies: mutating the source afterwards does not show. *)
+  let b = Bytes.of_string "abcdefgh" in
+  BF.write_bytes f b ~pos:2 ~len:4;
+  Bytes.fill b 0 8 'z';
+  Alcotest.(check string) "write_bytes copied" "cdef" (BF.read f 4);
+  (* A sub-slice of a shared string, read partially and then whole. *)
+  BF.write_string f s ~pos:10 ~len:20;
+  Alcotest.(check string) "partial read" (String.sub s 10 5) (BF.read f 5);
+  Alcotest.(check string) "rest of the slice" (String.sub s 15 15) (BF.read f 100);
+  (* Reads spanning shared chunks, zeros and copies. *)
+  BF.write f "hello";
+  BF.write_zeros f 3;
+  BF.write f "world";
+  let out = Bytes.make 20 '.' in
+  Alcotest.(check int) "read_into count" 13 (BF.read_into f out ~pos:2 ~len:18);
+  Alcotest.(check string) "read_into bytes" "..hello\000\000\000world....."
+    (Bytes.to_string out);
+  BF.write f "0123456789";
+  Alcotest.(check int) "discard" 4 (BF.discard f 4);
+  Alcotest.(check string) "after discard" "456789" (BF.read f 6);
+  (* transfer shares chunks: both sides still read the written bytes. *)
+  let a = BF.create () and c = BF.create () in
+  let t = "transferred" in
+  BF.write a t;
+  BF.write_zeros a 2;
+  Alcotest.(check int) "transfer partial" 5 (BF.transfer ~src:a ~dst:c 5);
+  Alcotest.(check int) "transfer rest" 8 (BF.transfer ~src:a ~dst:c 100);
+  Alcotest.(check string) "dst bytes" "transferred\000\000" (BF.read c 13);
+  Alcotest.(check string) "source string untouched" "transferred" t;
+  (* A read that needs only part of the head chunk, or more than it,
+     copies. *)
+  let u = "uvwxyz" in
+  BF.write f u;
+  BF.write f "!";
+  let got = BF.read f 7 in
+  Alcotest.(check string) "read across two shared chunks" "uvwxyz!" got;
+  (* Zero-run coalescing is unchanged: consecutive zero writes form one
+     run, a data write ends it. *)
+  BF.write_zeros f 10;
+  BF.write_zeros f 20;
+  (match BF.next_run f with
+  | Some (`Zeros 30) -> ()
+  | _ -> Alcotest.fail "zero writes did not coalesce");
+  BF.write_string f s ~pos:0 ~len:1;
+  BF.write_zeros f 5;
+  Alcotest.(check int) "zeros before data" 30 (BF.discard f 30);
+  (match BF.next_run f with
+  | Some (`Data 1) -> ()
+  | _ -> Alcotest.fail "data chunk lost");
+  Alcotest.(check string) "one byte" (String.sub s 0 1) (BF.read f 1);
+  match BF.next_run f with
+  | Some (`Zeros 5) -> ()
+  | _ -> Alcotest.fail "trailing zero run"
+
 let byte_fifo_qcheck =
   QCheck.Test.make ~name:"byte fifo equals reference string" ~count:200
     QCheck.(list (pair bool small_nat))
@@ -324,6 +386,7 @@ let tests =
       byte_fifo_zero_coalesce_after_drain;
     Alcotest.test_case "byte fifo transfer" `Quick byte_fifo_transfer;
     QCheck_alcotest.to_alcotest byte_fifo_qcheck;
+    Alcotest.test_case "byte fifo aliasing contract" `Quick byte_fifo_aliasing;
     Alcotest.test_case "timeseries bins" `Quick timeseries_bins;
     Alcotest.test_case "jain fairness" `Quick stats_jain;
     Alcotest.test_case "json escape" `Quick json_escape;

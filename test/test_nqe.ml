@@ -232,6 +232,125 @@ let qcheck_allocator =
       List.iter (Hugepages.free hp) !live;
       !ok && Hugepages.bytes_in_use hp = 0)
 
+(* Reference model: the allocator's original free list, a sorted
+   (offset, len) list rebuilt on every call — first fit, 64 B rounding,
+   coalescing on free. The hole-array allocator must agree with it
+   operation for operation. *)
+module Hp_model = struct
+  type t = {
+    mutable free_list : (int * int) list;
+    mutable in_use : int;
+    live : (int, int) Hashtbl.t;
+  }
+
+  let create size = { free_list = [ (0, size) ]; in_use = 0; live = Hashtbl.create 16 }
+
+  let round n = (n + 63) land lnot 63
+
+  let alloc t n =
+    let need = round n in
+    let rec take acc = function
+      | [] -> None
+      | (off, len) :: rest when len >= need ->
+          let remainder = if len > need then [ (off + need, len - need) ] else [] in
+          t.free_list <- List.rev_append acc (remainder @ rest);
+          t.in_use <- t.in_use + need;
+          Hashtbl.replace t.live off need;
+          Some off
+      | hole :: rest -> take (hole :: acc) rest
+    in
+    take [] t.free_list
+
+  let free t off =
+    match Hashtbl.find_opt t.live off with
+    | None -> invalid_arg "model: double free"
+    | Some rounded ->
+        Hashtbl.remove t.live off;
+        t.in_use <- t.in_use - rounded;
+        let rec insert acc = function
+          | [] -> List.rev ((off, rounded) :: acc)
+          | (o, l) :: rest ->
+              if off < o then List.rev_append acc ((off, rounded) :: (o, l) :: rest)
+              else insert ((o, l) :: acc) rest
+        in
+        let merged =
+          List.fold_left
+            (fun acc (o2, l2) ->
+              match acc with
+              | (o1, l1) :: tl when o1 + l1 = o2 -> (o1, l1 + l2) :: tl
+              | _ -> (o2, l2) :: acc)
+            [] (insert [] t.free_list)
+        in
+        t.free_list <- List.rev merged
+end
+
+let qcheck_allocator_model =
+  (* Ops: (0|1, size, _) allocates, (2, _, k) frees the k-th live extent,
+     (3, _, k) frees the k-th already-freed one again. A 64 KB region
+     makes exhaustion common. *)
+  QCheck.Test.make ~name:"hugepage hole array equals the first-fit list model" ~count:300
+    QCheck.(pair (list (triple (int_range 0 3) (int_range 1 9000) small_nat)) int)
+    (fun (ops, order_seed) ->
+      let size = 16384 * 4 in
+      let hp = Hugepages.create ~page_size:16384 ~pages:4 () in
+      let m = Hp_model.create size in
+      let live = ref [] and freed = ref [] in
+      let agree () =
+        Hugepages.bytes_in_use hp = m.Hp_model.in_use
+        && Hugepages.allocations hp = Hashtbl.length m.Hp_model.live
+      in
+      let nth l k = List.nth l (k mod List.length l) in
+      let ok =
+        List.for_all
+          (fun (kind, n, k) ->
+            (match kind with
+            | 0 | 1 -> (
+                match (Hugepages.alloc hp n, Hp_model.alloc m n) with
+                | None, None -> true
+                | Some e, Some off ->
+                    live := e :: !live;
+                    e.Hugepages.offset = off && e.Hugepages.len = n
+                | Some _, None | None, Some _ -> false)
+            | 2 when !live <> [] ->
+                let e = nth !live k in
+                Hugepages.free hp e;
+                Hp_model.free m e.Hugepages.offset;
+                live := List.filter (fun x -> x != e) !live;
+                freed := e :: !freed;
+                true
+            | 3 when !freed <> [] ->
+                let e = nth !freed k in
+                (* Skip extents whose offset was handed out again. *)
+                List.exists (fun x -> x.Hugepages.offset = e.Hugepages.offset) !live
+                || (match Hugepages.free hp e with
+                   | exception Invalid_argument _ -> true
+                   | () -> false)
+                   && (match Hp_model.free m e.Hugepages.offset with
+                      | exception Invalid_argument _ -> true
+                      | () -> false)
+            | _ -> true)
+            && agree ())
+          ops
+      in
+      (* Free the rest in a random order, then the region must be one
+         full-capacity hole again. *)
+      let rest = Array.of_list !live in
+      let rng = Nkutil.Rng.create ~seed:order_seed in
+      for i = Array.length rest - 1 downto 1 do
+        let j = Nkutil.Rng.int rng (i + 1) in
+        let x = rest.(i) in
+        rest.(i) <- rest.(j);
+        rest.(j) <- x
+      done;
+      Array.iter (Hugepages.free hp) rest;
+      ok
+      && Hugepages.bytes_in_use hp = 0
+      && Hugepages.allocations hp = 0
+      &&
+      match Hugepages.alloc hp size with
+      | Some e -> e.Hugepages.offset = 0
+      | None -> false)
+
 let hp_fragmentation_stress () =
   (* Thousands of interleaved extents: freeing every second one first
      leaves ~n/2 disjoint holes, so each remaining free walks a maximally
@@ -271,4 +390,5 @@ let tests =
     Alcotest.test_case "hugepages payload roundtrip" `Quick hp_payload_roundtrip;
     Alcotest.test_case "hugepages fragmentation stress" `Quick hp_fragmentation_stress;
     QCheck_alcotest.to_alcotest qcheck_allocator;
+    QCheck_alcotest.to_alcotest qcheck_allocator_model;
   ]

@@ -7,9 +7,11 @@
 
    D2  no order-sensitive [Hashtbl.iter]/[Hashtbl.fold] — use
        [Nkutil.Det_tbl] (key-sorted) or waive with (* nkscope: ordered-ok *);
-   D3  no bare [Stdlib.compare] passed as a function value, at any type —
-       use [Int.compare]/[Float.compare]/... (a local binding named
-       [compare] is not [Stdlib.compare] and is not flagged);
+   D3  no bare [Stdlib.compare] passed as a function value unless its
+       instantiated type is [int]/[float]/[string]/[char]/[bool] — at any
+       other type use [Int.compare]/[Float.compare]/... or a purpose-built
+       comparator (a local binding named [compare] is not [Stdlib.compare]
+       and is not flagged);
    D4  no [Obj.magic]; no exception-swallowing [try ... with _ ->]
        (waivers: magic-ok / swallow-ok);
    H1  no full [Nqe.decode]/[Nqe.decode_from] in the lib/core hot-path
@@ -156,10 +158,27 @@ let hot_path_modules =
 let in_hot_path file =
   contains ~sub:"core/" file && List.mem (Filename.basename file) hot_path_modules
 
+(* Is [ty], the instantiated type of a [Stdlib.compare] use, a comparator
+   over a base type? There polymorphic compare is exactly the monomorphic
+   one ([List.sort compare (l : int list)] is [Int.compare]). The type is
+   read as written: an abbreviation of [int] is not expanded, so it stays
+   flagged. *)
+let compare_at_base_type ty =
+  match Types.get_desc ty with
+  | Types.Tarrow (_, arg, _, _) -> (
+      match Types.get_desc arg with
+      | Types.Tconstr (p, [], _) ->
+          List.exists (Path.same p)
+            [ Predef.path_int; Predef.path_float; Predef.path_string; Predef.path_char;
+              Predef.path_bool ]
+      | _ -> false)
+  | _ -> false
+
 (* The rule an identifier use breaks, if any. [head] is true when the
    identifier is applied directly: [compare a b] is monomorphized at the
-   call and is not what D3 flags; the bare value [List.sort compare] is. *)
-let ident_rule ~file ~head p comps =
+   call and is not what D3 flags; the bare value [List.sort compare] is.
+   [ty] is the use's instantiated type. *)
+let ident_rule ~file ~head ~ty p comps =
   match last2 comps with
   | Some ("Hashtbl", (("iter" | "fold") as fn)) ->
       Some
@@ -182,7 +201,7 @@ let ident_rule ~file ~head p comps =
              through Nqe.View, or waive a deliberate full decode with (* nkscope: \
              decode-ok *)"
             fn )
-  | _ when (not head) && Path.name p = "Stdlib.compare" ->
+  | _ when (not head) && Path.name p = "Stdlib.compare" && not (compare_at_base_type ty) ->
       Some
         ( "D3",
           "bare polymorphic compare passed as a function — use Int.compare / \
@@ -495,7 +514,7 @@ let unit_of_structure ~file ~src ~name (str : structure) =
           f.f_refs <- comps :: f.f_refs;
           Option.iter
             (fun (rule, msg) -> add_local e.exp_loc rule msg)
-            (ident_rule ~file ~head:(Hashtbl.mem heads e.exp_loc) p comps)
+            (ident_rule ~file ~head:(Hashtbl.mem heads e.exp_loc) ~ty:e.exp_type p comps)
       | Texp_try (_, cases) ->
           List.iter
             (fun c ->
