@@ -318,12 +318,6 @@ let drain_nsm t ~nsm_id =
     ctl_event t "drain_nsm" (Printf.sprintf "nsm=%d conns=%d" nsm_id (nsm_conn_count t ~nsm_id))
   end
 
-let undrain_nsm t ~nsm_id =
-  if Hashtbl.mem t.draining nsm_id then begin
-    Hashtbl.remove t.draining nsm_id;
-    ctl_event t "undrain_nsm" (Printf.sprintf "nsm=%d" nsm_id)
-  end
-
 let forget_route t ~vm_id ~sock = table_remove t (conn_key vm_id sock)
 
 let add_route t ~vm_id ~sock ~nsm_id ~nsm_qset =
@@ -396,17 +390,12 @@ let wake t dev qset =
       (Engine.schedule_at t.engine ~at (Nk_device.wake_thunk dev ~qset))
   end
 
-(* Push an inbound NQE into [dev]'s queue [q] of [qset]; false if full. A
-   destination queue set owned by another shard is a cross-shard handoff
-   and pays [ce_xshard] on the pushing shard. *)
-let push_inbound t (sh : shard) dev ~qset q raw =
-  let s = Nk_device.qset dev qset in
+(* Push an inbound NQE into the ring of [dev]'s queue set [qset] that its
+   op rides; false if full. A destination queue set owned by another shard
+   is a cross-shard handoff and pays [ce_xshard] on the pushing shard. *)
+let push_inbound t (sh : shard) dev ~qset raw =
   let ring =
-    match q with
-    | `Job -> s.Queue_set.job
-    | `Completion -> s.Queue_set.completion
-    | `Send -> s.Queue_set.send
-    | `Receive -> s.Queue_set.receive
+    Queue_set.ring (Nk_device.qset dev qset) (Queue_set.kind_of_op (Nqe.View.op raw))
   in
   if owner_idx t ~dev_id:(Nk_device.id dev) ~qset <> sh.idx then charge_xshard t sh;
   if Ring.push ring raw then begin
@@ -458,12 +447,7 @@ let route_nsm_to_vm t (sh : shard) ~src_nsm ~src_qset raw =
       then
         table_add ~sh t (conn_key vm_id table_sock) { nsm_id = src_nsm; nsm_qset = src_qset };
       if op = Nqe.Comp_close then table_remove ~sh t (conn_key vm_id sock);
-      let q =
-        match op with
-        | Nqe.Ev_accept | Nqe.Ev_data | Nqe.Ev_eof -> `Receive
-        | _ -> `Completion
-      in
-      if push_inbound t sh dev ~qset q raw then begin
+      if push_inbound t sh dev ~qset raw then begin
         switched sh t raw (`Vm vm_id);
         true
       end
@@ -613,9 +597,8 @@ and route_vm_to_nsm t (sh : shard) raw =
           reply_error t sh raw Types.Econnreset;
           true
       | dev ->
-          let q = match op with Nqe.Send -> `Send | _ -> `Job in
           if op = Nqe.Close then table_remove ~sh t key;
-          if push_inbound t sh dev ~qset:r.nsm_qset q raw then begin
+          if push_inbound t sh dev ~qset:r.nsm_qset raw then begin
             switched sh t raw (`Nsm r.nsm_id);
             true
           end
@@ -655,8 +638,7 @@ and route_vm_to_nsm t (sh : shard) raw =
                 sock * 2654435761 land max_int mod Nk_device.n_qsets dev
               in
               table_add ~sh t key { nsm_id; nsm_qset };
-              let q = match op with Nqe.Send -> `Send | _ -> `Job in
-              if push_inbound t sh dev ~qset:nsm_qset q raw then begin
+              if push_inbound t sh dev ~qset:nsm_qset raw then begin
                 switched sh t raw (`Nsm nsm_id);
                 true
               end

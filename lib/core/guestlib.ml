@@ -27,15 +27,6 @@ type gsock = {
   mutable close_pending : bool;
 }
 
-type qset_state = {
-  mutable scheduled : bool;
-  mutable last_active : float;
-  (* Reusable burst buffer for [process_qset]. Per queue set because the
-     apply loop runs deferred (behind [Cpu.exec]) while another queue set
-     may already be draining. *)
-  scratch : bytes array;
-}
-
 type stats = {
   nqes_tx : int;
   nqes_rx : int;
@@ -62,7 +53,6 @@ type t = {
   profile : Sim.Cost_profile.t;
   socks : (int, gsock) Hashtbl.t;
   epolls : Epoll_core.t;
-  qstates : qset_state array;
   mon : Nkmon.t;
   spans : Nkspan.t;
   instance : string; (* "vm<id>", the span/metric component instance *)
@@ -112,7 +102,7 @@ let gsock_core cores socks gid =
 
 (* ---- NQE posting -------------------------------------------------------- *)
 
-let post t gs queue (nqe : Nqe.t) =
+let post_op t gs op ?op_data ?data_ptr ?size ?synthetic ?span () =
   Nkmon.Registry.incr t.ctr.c_nqes_tx;
   if Nkmon.tracing t.mon then
     Nkmon.event t.mon
@@ -120,18 +110,15 @@ let post t gs queue (nqe : Nqe.t) =
          {
            device = Nk_device.id t.device;
            qset = gs.qset;
-           queue = (match queue with `Send -> Nkmon.Trace.Send | _ -> Nkmon.Trace.Job);
-           op = Nqe.op_to_string nqe.Nqe.op;
+           queue = Queue_set.trace_queue (Queue_set.kind_of_op op);
+           op = Nqe.op_to_string op;
            vm_id = t.vm_id;
            sock = gs.gid;
          });
-  Nk_device.post t.device ~qset:gs.qset queue (Nqe.encode nqe)
-
-let post_op t gs op ?op_data ?data_ptr ?size ?synthetic ?span () =
-  post t gs
-    (match op with Nqe.Send -> `Send | _ -> `Job)
-    (Nqe.make ~op ~vm_id:t.vm_id ~qset:gs.qset ~sock:gs.gid ?op_data ?data_ptr ?size
-       ?synthetic ?span ())
+  Nk_device.post t.device ~qset:gs.qset
+    (Nqe.encode
+       (Nqe.make ~op ~vm_id:t.vm_id ~qset:gs.qset ~sock:gs.gid ?op_data ?data_ptr ?size
+          ?synthetic ?span ()))
 
 (* ---- inbound NQE processing ---------------------------------------------- *)
 
@@ -281,53 +268,6 @@ let apply t raw =
     ->
       (* VM-bound queues never carry VM-to-NSM ops. *)
       ()
-
-let rec process_qset t qi =
-  let s = Nk_device.qset t.device qi in
-  let qs = t.qstates.(qi) in
-  (* One wakeup drains a budgeted burst from both inbound rings into the
-     per-qset scratch buffer: completions first, then receive events, each
-     in ring order — the same order the one-at-a-time poll produced. *)
-  let n = Queue_set.drain_into s ~toward:`Vm qs.scratch ~budget:64 ~shared:false in
-  if n = 0 then qs.scheduled <- false
-  else begin
-    let now = Engine.now t.engine in
-    let wake_extra =
-      (* The device slept after the 20 us polling window; waking it costs an
-         interrupt (interrupt-driven polling, §4.6). *)
-      if now -. qs.last_active > t.costs.Nk_costs.guest_idle_window then
-        t.costs.Nk_costs.guest_interrupt
-      else 0.0
-    in
-    let cycles =
-      t.costs.Nk_costs.guest_poll +. wake_extra
-      +. (float_of_int n *. t.costs.Nk_costs.nqe_decode)
-    in
-    (* Traced completions leave the ring here: everything from now until
-       [apply] runs (poll + decode + core queueing) is the completion
-       stage. Only Comp_send NQEs carry a span id, the rest peek as 0. *)
-    if Nkspan.enabled t.spans then
-      for i = 0 to n - 1 do
-        let span = Nqe.span_of_raw qs.scratch.(i) in
-        Nkspan.end_stage t.spans ~id:span "ring";
-        Nkspan.begin_stage t.spans ~id:span ~component:t.instance "completion"
-      done;
-    Nkspan.exec t.spans ~component:t.instance ~stage:"poll" (Cpu.Set.core t.cores qi) ~cycles
-      (fun () ->
-        for i = 0 to n - 1 do
-          let raw = qs.scratch.(i) in
-          if Nqe.View.ok raw then apply t raw
-        done;
-        qs.last_active <- Engine.now t.engine;
-        process_qset t qi)
-  end
-
-let on_kick t qi =
-  let qs = t.qstates.(qi) in
-  if not qs.scheduled then begin
-    qs.scheduled <- true;
-    process_qset t qi
-  end
 
 (* ---- API ------------------------------------------------------------------ *)
 
@@ -594,9 +534,6 @@ let create ~engine ~vm_id ~cores ~device ~costs ~profile ?(mon = Nkmon.null ())
         Epoll_core.create ~engine ~events_of:(gsock_events costs socks)
           ~core_of:(gsock_core cores socks)
           ~wake_cycles:costs.Nk_costs.guest_epoll_wake ();
-      qstates =
-        Array.init (Nk_device.n_qsets device) (fun _ ->
-            { scheduled = false; last_active = 0.0; scratch = Array.make 128 Bytes.empty });
       mon;
       spans;
       instance;
@@ -611,5 +548,6 @@ let create ~engine ~vm_id ~cores ~device ~costs ~profile ?(mon = Nkmon.null ())
       next_gid = 1;
     }
   in
-  Nk_device.set_kick_owner device (fun qi -> on_kick t qi);
+  Nk_device.serve device ~engine ~cores ~costs ~instance ~apply:(fun ~qset:_ raw ->
+      apply t raw);
   t

@@ -6,6 +6,12 @@
       send queues, or ServiceLib's completion and receive queues);
     - [kick_owner]: CoreEngine delivered inbound NQEs to queue set [i].
 
+    The device also owns both halves of the owner-side protocol, so
+    GuestLib, ServiceLib and the shared-memory NSM supply only their
+    per-NQE [apply]: {!post} picks the ring from the NQE's op
+    ({!Queue_set.kind_of_op}), and {!serve} is the one poll loop that
+    drains the inbound rings.
+
     Outbound posting goes through a per-queue overflow buffer so a full
     ring backpressures instead of dropping (the simulated analogue of the
     producer spinning on a full lockless queue). *)
@@ -44,7 +50,9 @@ val set_kick_ce : t -> (int -> unit) -> unit
     switching shard that owns that queue set. *)
 
 val set_kick_owner : t -> (int -> unit) -> unit
-(** Installed by GuestLib / ServiceLib; argument is the queue-set index. *)
+(** Argument is the queue-set index. {!serve} installs it for GuestLib,
+    ServiceLib and the shared-memory NSM; Nkfabric's relay stub and proxy
+    devices install their own synchronous drains. *)
 
 val wake_thunk : t -> qset:int -> unit -> unit
 (** Preallocated owner kick for queue set [qset] — the callback CoreEngine
@@ -62,9 +70,10 @@ val set_wake_armed_at : t -> qset:int -> float -> unit
 (** Recorded by CoreEngine when it arms a wake; never cleared (virtual
     time is monotone, so a past stamp can never alias a future one). *)
 
-val post : t -> qset:int -> [ `Job | `Completion | `Send | `Receive ] -> bytes -> unit
-(** Owner-side enqueue of an encoded NQE + CE kick; spills to the overflow
-    buffer when the ring is full. *)
+val post : t -> qset:int -> bytes -> unit
+(** Owner-side enqueue of an encoded NQE + CE kick, on the ring its op
+    rides ({!Queue_set.kind_of_op}); spills to the overflow buffer when the
+    ring is full. *)
 
 val flush_overflow : t -> unit
 (** Move spilled NQEs into their rings as space allows (CoreEngine calls
@@ -73,3 +82,33 @@ val flush_overflow : t -> unit
 val outbound_pending : t -> qset:int -> int
 (** Encoded NQEs waiting for the CoreEngine in [qset] (rings + overflow),
     counting the queues this device's owner produces. *)
+
+val serve :
+  t ->
+  engine:Sim.Engine.t ->
+  cores:Sim.Cpu.Set.t ->
+  costs:Nk_costs.t ->
+  instance:string ->
+  apply:(qset:int -> bytes -> unit) ->
+  unit
+(** Install the device owner's poll loop (paper §4.5–4.6). A kick on queue
+    set [i] that finds no poll running drains one budgeted burst of the
+    owner's inbound pair in ring order, charges it on [Cpu.Set.core cores i],
+    calls [apply ~qset:i raw] for each record that passes [Nqe.View.ok],
+    and polls again until the pair is empty. Everything else follows from
+    the device's {!role}:
+    - [Vm_side] (GuestLib): completion then receive, up to 64 from each
+      ring; [guest_poll] per burst, plus [guest_interrupt] when the queue
+      set sat idle longer than [guest_idle_window]; span stage
+      ["completion"], profile stage ["poll"].
+    - [Nsm_side] (ServiceLib, shared-memory NSM): job then send, one burst
+      of at most 64 across the pair; [service_poll] per burst; span stage
+      ["servicelib"], profile stage ["dispatch"].
+
+    Either way each burst also pays [n * nqe_decode], and each drained
+    record's ["ring"] span stage closes. [instance] names the owner in span
+    and profile records. *)
+
+val stop : t -> unit
+(** Stop serving: a burst already drained is still applied, but nothing
+    more is drained (ServiceLib's crash path). *)

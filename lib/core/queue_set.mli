@@ -15,12 +15,24 @@ type t = {
   receive : queue;
 }
 
+type kind = [ `Job | `Completion | `Send | `Receive ]
+
 val create : ?capacity:int -> unit -> t
 (** [capacity] per ring, default 8192. *)
 
-val queue_name : [ `Job | `Completion | `Send | `Receive ] -> string
+val kind_of_op : Nqe.op -> kind
+(** The one op→ring rule: [Send] rides the send ring and every other
+    VM→NSM op the job ring; [Ev_accept], [Ev_data] and [Ev_eof] ride the
+    receive ring and every other NSM→VM op (completions and [Ev_err]) the
+    completion ring. *)
+
+val ring : t -> kind -> queue
+
+val queue_name : kind -> string
 (** Canonical lowercase ring name, used by Nkmon labels and Nkspan ring-stage
     component tags. *)
+
+val trace_queue : kind -> Nkmon.Trace.queue
 
 val drain_into :
   t -> toward:[ `Vm | `Nsm ] -> bytes array -> budget:int -> shared:bool -> int

@@ -36,13 +36,6 @@ and ssock = {
   mutable err_sent : bool;
 }
 
-type qset_state = {
-  mutable scheduled : bool;
-  (* Reusable burst buffer for [process_qset]; per queue set because the
-     dispatch loop runs deferred behind [Cpu.exec]. *)
-  scratch : bytes array;
-}
-
 type stats = {
   nqes_rx : int;
   nqes_tx : int;
@@ -69,7 +62,6 @@ type t = {
   vm_forwarders : (int, Nqe.t -> unit) Hashtbl.t;
       (* per-VM hooks for NQEs that were drained before the VM migrated
          away but applied after; they ship to the destination NSM *)
-  qstates : qset_state array;
   mon : Nkmon.t;
   spans : Nkspan.t;
   instance : string;
@@ -97,10 +89,7 @@ let post t (ss : ssock) op ?op_data ?data_ptr ?size ?synthetic ?span () =
   if not t.dead then begin
     Nkmon.Registry.incr t.ctr.c_nqes_tx;
     Cpu.charge (Cpu.Set.core t.cores ss.nsm_qset) ~cycles:t.costs.Nk_costs.nqe_encode;
-    let queue =
-      match op with Nqe.Ev_accept | Nqe.Ev_data | Nqe.Ev_eof -> `Receive | _ -> `Completion
-    in
-    Nk_device.post t.device ~qset:ss.nsm_qset queue
+    Nk_device.post t.device ~qset:ss.nsm_qset
       (Nqe.encode
          (Nqe.make ~op ~vm_id:ss.vm.vm_id ~qset:ss.vm_qset ~sock:ss.gid ?op_data ?data_ptr
             ?size ?synthetic ?span ()))
@@ -320,7 +309,7 @@ let on_accept t vm (lsock : ssock) conn ~peer =
      the size field, the peer address through op_data. *)
   Nkmon.Registry.incr t.ctr.c_nqes_tx;
   Cpu.charge (Cpu.Set.core t.cores ss.nsm_qset) ~cycles:t.costs.Nk_costs.nqe_encode;
-  Nk_device.post t.device ~qset:ss.nsm_qset `Receive
+  Nk_device.post t.device ~qset:ss.nsm_qset
     (Nqe.encode
        (Nqe.make ~op:Nqe.Ev_accept ~vm_id:vm.vm_id ~qset:Nqe.qset_unassigned
           ~sock:lsock.gid ~op_data:(Nqe.pack_addr peer) ~size:gid ()))
@@ -379,7 +368,7 @@ let apply t ~qset_idx raw =
           let reply op ~op_data =
             Nkmon.Registry.incr t.ctr.c_nqes_tx;
             Cpu.charge (Cpu.Set.core t.cores qset_idx) ~cycles:t.costs.Nk_costs.nqe_encode;
-            Nk_device.post t.device ~qset:qset_idx `Completion
+            Nk_device.post t.device ~qset:qset_idx
               (Nqe.encode
                  (Nqe.make ~op ~vm_id ~qset:(Nqe.View.qset raw) ~sock ~op_data
                     ~data_ptr:(Nqe.View.data_ptr raw) ~size:(Nqe.View.size raw)
@@ -447,48 +436,6 @@ let apply t ~qset_idx raw =
               (* NSM-bound queues never carry NSM-to-VM results. *)
               ()))
 
-(* ---- polling ------------------------------------------------------------------------ *)
-
-let rec process_qset t qi =
-  if t.dead then t.qstates.(qi).scheduled <- false
-  else process_qset_live t qi
-
-and process_qset_live t qi =
-  let s = Nk_device.qset t.device qi in
-  let qs = t.qstates.(qi) in
-  (* One burst of at most 64 NQEs across the job + send pair (jobs first),
-     drained into the per-qset scratch buffer in ring order. *)
-  let n = Queue_set.drain_into s ~toward:`Nsm qs.scratch ~budget:64 ~shared:true in
-  if n = 0 then qs.scheduled <- false
-  else begin
-    (* Traced sends leave the NSM-side ring here: poll + decode + core
-       queueing accrue to the servicelib stage (only Send NQEs carry a
-       span id). *)
-    if Nkspan.enabled t.spans then
-      for i = 0 to n - 1 do
-        let span = Nqe.span_of_raw qs.scratch.(i) in
-        Nkspan.end_stage t.spans ~id:span "ring";
-        Nkspan.begin_stage t.spans ~id:span ~component:t.instance "servicelib"
-      done;
-    let cycles =
-      t.costs.Nk_costs.service_poll +. (float_of_int n *. t.costs.Nk_costs.nqe_decode)
-    in
-    Nkspan.exec t.spans ~component:t.instance ~stage:"dispatch" (Cpu.Set.core t.cores qi)
-      ~cycles (fun () ->
-        for i = 0 to n - 1 do
-          let raw = qs.scratch.(i) in
-          if Nqe.View.ok raw then apply t ~qset_idx:qi raw
-        done;
-        process_qset t qi)
-  end
-
-let on_kick t qi =
-  let qs = t.qstates.(qi) in
-  if not qs.scheduled then begin
-    qs.scheduled <- true;
-    process_qset t qi
-  end
-
 (* ---- construction -------------------------------------------------------------------- *)
 
 let create ~engine ~device ~ops ~cores ~costs ~pressure ?(mon = Nkmon.null ())
@@ -505,9 +452,6 @@ let create ~engine ~device ~ops ~cores ~costs ~pressure ?(mon = Nkmon.null ())
       pressure;
       vms = Hashtbl.create 8;
       vm_forwarders = Hashtbl.create 4;
-      qstates =
-        Array.init (Nk_device.n_qsets device) (fun _ ->
-            { scheduled = false; scratch = Array.make 64 Bytes.empty });
       mon;
       spans;
       instance;
@@ -521,7 +465,8 @@ let create ~engine ~device ~ops ~cores ~costs ~pressure ?(mon = Nkmon.null ())
         };
     }
   in
-  Nk_device.set_kick_owner device (fun qi -> on_kick t qi);
+  Nk_device.serve device ~engine ~cores ~costs ~instance ~apply:(fun ~qset raw ->
+      apply t ~qset_idx:qset raw);
   t
 
 let register_vm t ~vm_id ~hugepages ~ips =
@@ -577,6 +522,7 @@ let quiesce_vm_listeners t ~vm_id =
 let fail t =
   if not t.dead then begin
     t.dead <- true;
+    Nk_device.stop t.device;
     (* Kill the stack state under every VM's sockets: aborts send RSTs so
        remote peers observe resets, exactly like a crashed middlebox. *)
     (* Abort order is externally visible (RSTs on the wire), so walk VMs

@@ -15,31 +15,6 @@
 
 open Nkcore
 
-let sparkline values =
-  let ramp = [| ' '; '.'; ':'; '-'; '='; '+'; '*'; '#' |] in
-  let peak = Array.fold_left Float.max 1e-9 values in
-  String.init (Array.length values) (fun i ->
-      let level = int_of_float (values.(i) /. peak *. 7.0) in
-      ramp.(Int.max 0 (Int.min 7 level)))
-
-(* Bucket a (time, value) series into [k] equal bins over [0, duration],
-   averaging within each bin (empty bins repeat the previous value). *)
-let bucket ~k ~duration series =
-  let sums = Array.make k 0.0 and counts = Array.make k 0 in
-  List.iter
-    (fun (time, v) ->
-      let i = Int.min (k - 1) (Int.max 0 (int_of_float (time /. duration *. float_of_int k))) in
-      sums.(i) <- sums.(i) +. v;
-      counts.(i) <- counts.(i) + 1)
-    series;
-  let out = Array.make k 0.0 in
-  let prev = ref 0.0 in
-  for i = 0 to k - 1 do
-    if counts.(i) > 0 then prev := sums.(i) /. float_of_int counts.(i);
-    out.(i) <- !prev
-  done;
-  out
-
 let nsm_vcpus = 1
 
 let run ?(quick = false) () =
@@ -132,10 +107,10 @@ let run ?(quick = false) () =
   let stats = Nkctl.stats ctl in
   let k = 40 in
   let of_samples f =
-    bucket ~k ~duration (List.map (fun s -> (s.Nkctl.s_time, f s)) samples)
+    Report.bucket ~k ~duration (List.map (fun s -> (s.Nkctl.s_time, f s)) samples)
   in
   let offered =
-    bucket ~k ~duration
+    Report.bucket ~k ~duration
       (List.init 120 (fun i ->
            let t = float_of_int i /. 119.0 *. duration in
            ( t,
@@ -158,10 +133,10 @@ let run ?(quick = false) () =
   in
   let rows =
     [
-      frow "offered load (rps, 3 AGs)" offered sparkline;
-      frow "NSM vCPU utilization" util sparkline;
+      frow "offered load (rps, 3 AGs)" offered Report.sparkline;
+      frow "NSM vCPU utilization" util Report.sparkline;
       frow "active NSMs" nsms digits;
-      frow "CE connection entries" conns sparkline;
+      frow "CE connection entries" conns Report.sparkline;
     ]
   in
   Report.make ~id:"fig0708"

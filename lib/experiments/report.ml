@@ -97,3 +97,28 @@ let cell_gbps v = Printf.sprintf "%.1f" v
 let cell_krps v = Printf.sprintf "%.1fK" (v /. 1e3)
 
 let cell_pct v = Printf.sprintf "%.0f%%" (v *. 100.0)
+
+let sparkline values =
+  let ramp = [| ' '; '.'; ':'; '-'; '='; '+'; '*'; '#' |] in
+  let peak = Array.fold_left Float.max 1e-9 values in
+  String.init (Array.length values) (fun i ->
+      let level = int_of_float (values.(i) /. peak *. 7.0) in
+      ramp.(Int.max 0 (Int.min 7 level)))
+
+let bucket ~k ~duration series =
+  let sums = Array.make k 0.0 and counts = Array.make k 0 in
+  List.iter
+    (fun (time, v) ->
+      let i =
+        Int.min (k - 1) (Int.max 0 (int_of_float (time /. duration *. float_of_int k)))
+      in
+      sums.(i) <- sums.(i) +. v;
+      counts.(i) <- counts.(i) + 1)
+    series;
+  let out = Array.make k 0.0 in
+  let prev = ref 0.0 in
+  for i = 0 to k - 1 do
+    if counts.(i) > 0 then prev := sums.(i) /. float_of_int counts.(i);
+    out.(i) <- !prev
+  done;
+  out

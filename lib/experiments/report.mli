@@ -46,3 +46,11 @@ val cell_krps : float -> string
 (** Thousands of requests per second with one decimal. *)
 
 val cell_pct : float -> string
+
+val sparkline : float array -> string
+(** One character per value on an 8-level ramp (['#'] is the series peak),
+    for time-series cells. *)
+
+val bucket : k:int -> duration:float -> (float * float) list -> float array
+(** Bucket a (time, value) series into [k] equal bins over [\[0, duration\]],
+    averaging within each bin (empty bins repeat the previous value). *)

@@ -56,16 +56,6 @@ module Spine = struct
         Hashtbl.replace t.links (src, dst) l;
         l
 
-  let set_link t ~src ~dst ~latency ~gbps =
-    Hashtbl.replace t.links (src, dst)
-      {
-        l_latency = latency;
-        l_bytes_per_sec = gbps *. 1e9 /. 8.0;
-        l_free_at = 0.0;
-        l_nqes = 0;
-        l_bytes = 0;
-      }
-
   (* Store-and-forward: serialization at the link rate, then propagation.
      [l_free_at] is monotone, so same-link deliveries stay FIFO — the
      relay's per-connection ordering guarantee rides on this. *)
@@ -311,15 +301,14 @@ let ship_to_dest t relay ~src raw =
     Nkspan.begin_stage relay.r_home.n_spans ~id:span ~component:"nkfabric" "spine";
   Spine.ship t.spine ~src ~dst:relay.r_dest.n_index ~bytes:(wire_bytes raw) (fun () ->
       if span <> 0 then Nkspan.end_stage relay.r_home.n_spans ~id:span "spine";
-      let q = match Nqe.View.op raw with Nqe.Send -> `Send | _ -> `Job in
-      Nk_device.post relay.r_proxy ~qset:(Nqe.View.qset raw) q raw)
+      Nk_device.post relay.r_proxy ~qset:(Nqe.View.qset raw) raw)
 
 (* Destination -> home: an NSM->VM NQE drained from the proxy re-enters the
-   home CoreEngine through the stub. Ring and queue set mirror CoreEngine's
-   own choices ([route_nsm_to_vm]): events ride the receive ring, and the
-   queue set hashes the socket the home CE will key its auto-added route on
-   (the new-connection id for Ev_accept, the socket id otherwise), so
-   follow-up NQEs of the same connection land on the same queue set. *)
+   home CoreEngine through the stub. The queue set mirrors CoreEngine's own
+   choice ([route_nsm_to_vm]): it hashes the socket the home CE will key its
+   auto-added route on (the new-connection id for Ev_accept, the socket id
+   otherwise), so follow-up NQEs of the same connection land on the same
+   queue set. *)
 let ship_back t relay ~src raw =
   relay.r_nqes_back <- relay.r_nqes_back + 1;
   let span = Nqe.View.span raw in
@@ -328,14 +317,13 @@ let ship_back t relay ~src raw =
   Spine.ship t.spine ~src ~dst:relay.r_home.n_index ~bytes:(wire_bytes raw) (fun () ->
       if span <> 0 then Nkspan.end_stage relay.r_home.n_spans ~id:span "spine";
       let stub = relay.r_stub in
-      let q, key =
+      let key =
         match Nqe.View.op raw with
-        | Nqe.Ev_accept -> (`Receive, Nqe.View.size raw)
-        | Nqe.Ev_data | Nqe.Ev_eof -> (`Receive, Nqe.View.sock raw)
-        | _ -> (`Completion, Nqe.View.sock raw)
+        | Nqe.Ev_accept -> Nqe.View.size raw
+        | _ -> Nqe.View.sock raw
       in
       let qset = key * 2654435761 land max_int mod Nk_device.n_qsets stub in
-      Nk_device.post stub ~qset q raw)
+      Nk_device.post stub ~qset raw)
 
 (* One stub can carry several VMs' routes (the departed NSM multiplexed
    them); each drained NQE finds its own relay by vm id. *)
@@ -381,8 +369,8 @@ let install_proxy t relay proxy =
 (* Deterministic drain of a departing NSM device's VM-ward rings: once the
    source is deregistered the CoreEngine stops polling it, so whatever it
    has not consumed yet would be orphaned. Pop the completion and receive
-   rings directly (never merged) so ring identity and order survive the
-   replay. *)
+   rings directly (never merged) so per-ring order survives the replay; the
+   replay's post puts each NQE back on the ring its op rides. *)
 let drain_vm_ward dev ~deliver =
   let n = Nk_device.n_qsets dev in
   let pending () =
@@ -396,15 +384,15 @@ let drain_vm_ward dev ~deliver =
     Nk_device.flush_overflow dev;
     for qi = 0 to n - 1 do
       let s = Nk_device.qset dev qi in
-      let rec pump ring which =
+      let rec pump ring =
         match Ring.pop ring with
         | Some raw ->
-            deliver which ~qset:qi raw;
-            pump ring which
+            deliver ~qset:qi raw;
+            pump ring
         | None -> ()
       in
-      pump s.Queue_set.completion `Completion;
-      pump s.Queue_set.receive `Receive
+      pump s.Queue_set.completion;
+      pump s.Queue_set.receive
     done
   done
 
@@ -591,10 +579,10 @@ let migrate_cut t ~source ~src_node ~dst ~dest_nsm ~moving =
      yet would be orphaned by the deregistration below. First-migration VMs
      replay them into the stub on the same rings and queue sets (order and
      auto-route keys preserved); re-migrated VMs ship them to their home. *)
-  drain_vm_ward (Nsm.device source) ~deliver:(fun which ~qset raw ->
+  drain_vm_ward (Nsm.device source) ~deliver:(fun ~qset raw ->
       match Hashtbl.find_opt t.relays (Nqe.View.vm_id raw) with
       | Some r ->
-          if r.r_home.n_index = src_node.n_index then Nk_device.post r.r_stub ~qset which raw
+          if r.r_home.n_index = src_node.n_index then Nk_device.post r.r_stub ~qset raw
           else ship_back t r ~src:src_node.n_index raw
       | None -> ());
   (* Hand the departed NSM's established-flow routes to the stub in one
@@ -627,17 +615,16 @@ let migrate_cut t ~source ~src_node ~dst ~dest_nsm ~moving =
           if n > 0 then begin
             for i = 0 to n - 1 do
               let raw = t.scratch.(i) in
-              let q = match Nqe.View.op raw with Nqe.Send -> `Send | _ -> `Job in
               Nk_device.post src_dev
                 ~qset:(Nqe.View.sock raw * 2654435761 land max_int mod src_nq)
-                q raw
+                raw
             done;
             loop ()
           end
         in
         loop ()
       done;
-      drain_vm_ward proxy ~deliver:(fun _which ~qset:_ raw ->
+      drain_vm_ward proxy ~deliver:(fun ~qset:_ raw ->
           match Hashtbl.find_opt t.relays vm_id with
           | Some r -> ship_back t r ~src:src_node.n_index raw
           | None -> ());

@@ -63,9 +63,6 @@ module Spine : sig
     t
   (** Defaults: 50 us one-way latency, 40 Gb/s per directed link. *)
 
-  val set_link : t -> src:int -> dst:int -> latency:float -> gbps:float -> unit
-  (** Override one directed link (node indices); resets its byte counters. *)
-
   val ship : t -> src:int -> dst:int -> bytes:int -> (unit -> unit) -> unit
   (** Occupy the [src]→[dst] link for [bytes] and run the continuation at
       arrival time (serialization + propagation). *)
@@ -135,10 +132,6 @@ val set_ctl : node -> Nkctl.t -> unit
 (** Give the node a local control loop. {!place_vm} registers placed VMs
     with it; {!migrate_nsm} releases the source NSM and its VMs from it
     before migrating, so the local policy never fights the cluster. *)
-
-val node_utilization : t -> node -> float
-(** Mean vCPU utilization of the node's pool since time zero (the placement
-    signal; 0 before the clock starts). *)
 
 val node_vm_count : t -> node -> int
 (** VMs currently {e served} by this node (placed here, migrated in, minus

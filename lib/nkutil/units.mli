@@ -4,10 +4,6 @@
     data sizes in bytes (int), rates in bits per second (float) unless a
     name says otherwise. *)
 
-val kib : int
-val mib : int
-val gib : int
-
 val gbps : float -> float
 (** [gbps x] is [x] Gb/s expressed in bits per second. *)
 

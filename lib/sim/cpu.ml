@@ -30,8 +30,6 @@ let exec t ~cycles k =
   charge t ~cycles;
   ignore (Engine.schedule_at t.engine ~at:t.acct.free_at k)
 
-let free_at t = t.acct.free_at
-
 let backlog t = Float.max 0.0 (t.acct.free_at -. Engine.now t.engine)
 
 let busy_cycles t = t.acct.busy_cycles
@@ -41,8 +39,6 @@ let busy_seconds t = t.acct.busy_cycles /. t.freq
 let utilization t ~since =
   let elapsed = Engine.now t.engine -. since in
   if elapsed <= 0.0 then 0.0 else Float.min 1.0 (busy_seconds t /. elapsed)
-
-let reset_accounting t = t.acct.busy_cycles <- 0.0
 
 module Set = struct
   type core = t
@@ -67,11 +63,4 @@ module Set = struct
     t.cores.((hash land max_int) mod n)
 
   let total_busy_cycles t = Array.fold_left (fun acc c -> acc +. c.acct.busy_cycles) 0.0 t.cores
-
-  let least_loaded t =
-    let best = ref t.cores.(0) in
-    Array.iter (fun c -> if c.acct.free_at < !best.acct.free_at then best := c) t.cores;
-    !best
-
-  let reset_accounting t = Array.iter reset_accounting t.cores
 end

@@ -31,8 +31,6 @@ module Timer = struct
   type t = event
 
   let cancel ev = ev.cancelled <- true
-
-  let is_pending ev = not ev.cancelled
 end
 
 (* The old comparator, verbatim: earlier time first, insertion order on

@@ -17,8 +17,8 @@
 type t
 
 (** Handles over scheduled events. [schedule]/[schedule_at] return a
-    [Timer.t]; cancellation and liveness queries go through this module, so
-    callers never see the engine's internal event representation. *)
+    [Timer.t]; cancellation goes through this module, so callers never see
+    the engine's internal event representation. *)
 module Timer : sig
   type t
 
@@ -26,9 +26,6 @@ module Timer : sig
   (** [cancel h] prevents the event from running; cancelling a fired or
       already-cancelled event is a no-op. Cancellation is O(1): the event
       is dropped when its wheel bucket is next touched. *)
-
-  val is_pending : t -> bool
-  (** [is_pending h] is false once the event fired or was cancelled. *)
 end
 
 val create : unit -> t

@@ -153,7 +153,7 @@ let coreengine_switch () =
   let send_ring = (Nk_device.qset nsm 0).Queue_set.send in
   let per_burst =
     words_per_call (fun () ->
-        Array.iter (fun r -> Nk_device.post vm ~qset:0 `Send r) raw;
+        Array.iter (fun r -> Nk_device.post vm ~qset:0 r) raw;
         Sim.Engine.run engine;
         if Nkutil.Spsc_ring.pop_slice send_ring sink ~pos:0 ~max:burst <> burst then
           Alcotest.fail "coreengine: burst not switched")

@@ -33,7 +33,7 @@ let run_direct ~n_cores =
   Coreengine.register_nsm ce nsm2;
   Coreengine.attach ce ~vm_id:1 ~nsm_ids:[ 1; 2 ];
   for sock = 1 to 8 do
-    Nk_device.post vm ~qset:(sock mod 2) `Job
+    Nk_device.post vm ~qset:(sock mod 2)
       (encode Nqe.Socket ~vm_id:1 ~qset:(sock mod 2) ~sock ())
   done;
   E.run engine;

@@ -30,7 +30,8 @@ done
 # cluster the live cross-host NSM migration, relay and spine shipping;
 # incast the Homa grant pacer, the TCP->Homa handover pump and the
 # post-switch RPC phase; slo federation order, SLO windows, alert firing
-# and the flight-recorder dumps (the report notes embed a dump digest).
+# and the flight-recorder dumps (the report notes embed a dump digest);
+# fig10 the shared-memory NSM (Nsm_shmem), which no other gated run uses.
 # One snapshot is then diffed against the committed BENCH_<id>.json
 # baseline: the simulated results are deterministic, so drift beyond the
 # default tolerance is a behaviour change that must be acknowledged by
@@ -44,7 +45,8 @@ for spec in \
   "latency-breakdown:Nkspan" \
   "cluster:Nkfabric" \
   "incast:homastack or the handover" \
-  "slo:Nkobs"; do
+  "slo:Nkobs" \
+  "fig10:the shared-memory NSM"; do
   id=${spec%%:*} layer=${spec#*:}
   dune exec bin/nk.exe -- bench "$id" -o "$tmp/$id.1"
   dune exec bin/nk.exe -- bench "$id" -o "$tmp/$id.2"

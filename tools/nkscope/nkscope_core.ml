@@ -24,8 +24,8 @@
        and encode must assign distinct byte values;
    S1  every stage literal a lib/ unit passes to [Nkspan.begin_stage] has a
        matching [end_stage] literal somewhere under lib/, and vice versa
-       (aggregated across units: Nk_device opens "ring", GuestLib,
-       CoreEngine and ServiceLib close it);
+       (aggregated across units: Nk_device opens "ring" when an NQE is
+       posted, and CoreEngine and Nk_device's owner poll loop close it);
    O1  shard-ownership: CoreEngine's shared tables (conn_table, nsm_conns,
        assignment, buckets) may be written directly from shard context only
        on paths that charge the cross-shard cost — i.e. the writer reads
