@@ -3,11 +3,22 @@
    The pending set is a 3-level hierarchical timing wheel, not a binary
    heap: the datapath schedules millions of dense short-delay events
    (per-NQE CPU slices, ring wakeups, link hops) while long-lived TCP
-   timers (RTO, persist) are armed and lazily cancelled far in the future.
-   A single heap holds every lazily-cancelled timer until its expiry, so
+   timers (RTO, persist) are armed and almost always cancelled far in the
+   future. A single heap holds every cancelled timer until its expiry, so
    with hundreds of thousands pending each pop pays O(log n) comparisons;
    the wheel gives O(1) placement and lets a cancelled event be dropped
    the moment its bucket is touched, without ordering work.
+
+   Cancellation is O(1) and releases what the event holds at once: the
+   callback is swapped for the shared [dead] function, so a cancelled RTO
+   stops pinning its connection's Tcb (buffers, retransmit queue, socket
+   glue) while its record waits in a bucket up to a second away. The
+   records themselves go when the cursor reaches their bucket or at the
+   next compaction: whenever [size] doubles since the last one (and is at
+   least [compact_floor]), every level-1 and level-2 bucket is walked and
+   its cancelled events unlinked, so [pending] stays about 2 x live +
+   floor instead of growing with the request count. Level 0 (≈ 122 µs),
+   the near heap and the overflow heap keep lazy discard.
 
    Determinism contract (unchanged from the heap engine): events execute
    in (time, insertion-seq) order. The wheel maps times to slots
@@ -15,22 +26,30 @@
    ascending order, and every event of the slot under the cursor is merged
    into a small "near" heap ordered by exactly the old comparator — so the
    pop order is byte-identical to the heap engine's (the oracle test in
-   test_sim.ml replays a 100K-event schedule against a reference heap). *)
+   test_sim.ml replays a 100K-event schedule against a reference heap).
+   Compaction only removes events that would never run, and bucket order
+   is irrelevant to the near heap, so it cannot change the schedule. *)
 
 type event = {
   time : float;
   seq : int;
-  f : unit -> unit;
-  mutable cancelled : bool;
+  mutable f : unit -> unit; (* [dead] once cancelled *)
   mutable next : event; (* intrusive bucket link; [nil] terminates *)
 }
 
-let rec nil = { time = 0.0; seq = -1; f = (fun () -> ()); cancelled = true; next = nil }
+(* The callback of every cancelled event. A closed top-level function is
+   one static closure, so [==] against it is exact; [ignore] is not
+   (a primitive used as a value may be a fresh closure at each use). *)
+let dead () = ()
+
+let cancelled ev = ev.f == dead
+
+let rec nil = { time = 0.0; seq = -1; f = dead; next = nil }
 
 module Timer = struct
   type t = event
 
-  let cancel ev = ev.cancelled <- true
+  let cancel ev = ev.f <- dead
 end
 
 (* The old comparator, verbatim: earlier time first, insertion order on
@@ -151,12 +170,18 @@ module Bitmap = struct
     end
 end
 
+(* Smallest [size] at which compaction runs: below it the cancelled
+   records are too few to be worth a sweep. *)
+let compact_floor = 1024
+
 type t = {
   mutable clock : float;
   mutable next_seq : int;
   mutable executed : int;
   (* Undelivered events, including cancelled ones not yet discarded. *)
   mutable size : int;
+  (* [size] at which the next compaction runs. *)
+  mutable compact_at : int;
   (* Absolute slot index of the wheel cursor: every event in a wheel
      bucket has slot > cur; events with slot <= cur live in [near]. *)
   mutable cur : int;
@@ -177,6 +202,7 @@ let create () =
     next_seq = 0;
     executed = 0;
     size = 0;
+    compact_at = compact_floor;
     cur = 0;
     near = Eheap.create 64;
     l0 = Array.make slots nil;
@@ -218,12 +244,53 @@ let place t ev =
     else Eheap.add t.overflow ev
   end
 
+(* Unlink the cancelled events of every occupied bucket of [level],
+   clearing each one's link so a stale handle cannot pin a chain, and the
+   bucket's bit once it is empty. *)
+let compact_level t level bm =
+  let i = ref (Bitmap.next bm 0) in
+  while !i >= 0 do
+    let idx = !i in
+    let head = ref level.(idx) in
+    while !head != nil && cancelled !head do
+      let e = !head in
+      head := e.next;
+      e.next <- nil;
+      t.size <- t.size - 1
+    done;
+    level.(idx) <- !head;
+    if !head == nil then Bitmap.clear bm idx
+    else begin
+      let prev = ref !head in
+      while !prev.next != nil do
+        let e = !prev.next in
+        if cancelled e then begin
+          !prev.next <- e.next;
+          e.next <- nil;
+          t.size <- t.size - 1
+        end
+        else prev := e
+      done
+    end;
+    i := Bitmap.next bm (idx + 1)
+  done
+
+(* Amortised O(1) per schedule: the sweep visits at most [size] events and
+   the next one waits until [size] has doubled again. Levels 1 and 2 hold
+   the far timers; level 0 drains within ≈ 122 µs anyway. Kept out of line
+   so that [schedule_at], the hottest path, stays its old size. *)
+let[@inline never] compact t =
+  compact_level t t.l1 t.l1_bm;
+  compact_level t t.l2 t.l2_bm;
+  t.compact_at <- Int.max compact_floor (2 * t.size)
+
 let schedule_at t ~at f =
   let at = Float.max at t.clock in
-  let ev = { time = at; seq = t.next_seq; f; cancelled = false; next = nil } in
+  let ev = { time = at; seq = t.next_seq; f; next = nil } in
   t.next_seq <- t.next_seq + 1;
   t.size <- t.size + 1;
   place t ev;
+  if t.size >= t.compact_at then compact t;
   ev
 
 let schedule t ~delay f = schedule_at t ~at:(t.clock +. Float.max 0.0 delay) f
@@ -238,7 +305,7 @@ let cascade t level bm idx =
     let e = !ev in
     ev := e.next;
     e.next <- nil;
-    if e.cancelled then t.size <- t.size - 1 else place t e
+    if cancelled e then t.size <- t.size - 1 else place t e
   done
 
 (* Move the cursor to the next occupied slot and spill it into [near].
@@ -282,7 +349,7 @@ let rec advance t =
               let e = Eheap.min_elt t.overflow in
               if e != nil && e.time *. inv_tick < block_end then begin
                 ignore (Eheap.pop_min t.overflow);
-                if e.cancelled then t.size <- t.size - 1 else place t e;
+                if cancelled e then t.size <- t.size - 1 else place t e;
                 pull ()
               end
             in
@@ -295,7 +362,7 @@ let rec advance t =
             let rec drain () =
               let e = Eheap.pop_min t.overflow in
               if e != nil then begin
-                if e.cancelled then t.size <- t.size - 1 else Eheap.add t.near e;
+                if cancelled e then t.size <- t.size - 1 else Eheap.add t.near e;
                 drain ()
               end
             in
@@ -311,7 +378,7 @@ let rec advance t =
 let rec peek_next t =
   let ev = Eheap.min_elt t.near in
   if ev != nil then
-    if ev.cancelled then begin
+    if cancelled ev then begin
       ignore (Eheap.pop_min t.near);
       t.size <- t.size - 1;
       peek_next t

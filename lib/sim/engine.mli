@@ -6,10 +6,10 @@
     (time, insertion-order) sequence, so runs are fully deterministic.
 
     The pending-event set is a hierarchical timing wheel (O(1) placement
-    for the datapath's dense short-delay events; lazily-cancelled timers
-    are discarded at bucket boundaries instead of paying heap pops), but
-    the execution order is exactly the former binary heap's — see the
-    oracle test in test/test_sim.ml.
+    for the datapath's dense short-delay events; cancelled timers are
+    discarded at bucket boundaries or by an amortised compaction instead
+    of paying heap pops), but the execution order is exactly the former
+    binary heap's — see the oracle tests in test/test_sim.ml.
 
     This is the substitute for the paper's QEMU/KVM testbed: wall-clock
     behaviour of the real system maps to virtual-time behaviour here. *)
@@ -24,8 +24,11 @@ module Timer : sig
 
   val cancel : t -> unit
   (** [cancel h] prevents the event from running; cancelling a fired or
-      already-cancelled event is a no-op. Cancellation is O(1): the event
-      is dropped when its wheel bucket is next touched. *)
+      already-cancelled event is a no-op. Cancellation is O(1) and
+      releases the callback at once, so nothing it captured (a closed
+      connection's Tcb, say) stays reachable through the engine. The
+      event record itself (4 words) goes at the next compaction or when
+      the wheel reaches its bucket, whichever comes first. *)
 end
 
 val create : unit -> t
@@ -52,8 +55,9 @@ val events_executed : t -> int
 (** Count of events executed so far (for performance reporting). *)
 
 val pending : t -> int
-(** Number of events currently queued (including cancelled ones not yet
-    discarded). *)
+(** Number of events currently queued, including cancelled ones not yet
+    discarded. Compaction bounds the cancelled share: [pending] stays
+    within about 2 x live events + 1024. *)
 
 val set_cycle_hook : t -> (string -> float -> unit) option -> unit
 (** [set_cycle_hook t (Some f)] makes every [Cpu.exec]/[Cpu.charge] call

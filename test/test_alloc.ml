@@ -59,6 +59,17 @@ let cpu_accounting () =
   check ~layer:"Sim.Cpu" ~what:"exec (beyond Engine.schedule_at)" ~budget:(bare +. 2.1)
     (fun () -> Sim.Cpu.exec core ~cycles:100.0 ignore)
 
+(* The event record (time, seq, callback, bucket link: 4 fields + header)
+   and the boxed time it points to (here the caller's, 2 words); the
+   callback is static, and compacting the cancelled records out of the
+   wheel allocates nothing. *)
+let engine_schedule_cancel () =
+  let engine = Sim.Engine.create () in
+  let at = ref 1.0 in
+  check ~layer:"Sim.Engine" ~what:"schedule_at + Timer.cancel" ~budget:7.5 (fun () ->
+      at := !at +. 1e-6;
+      Sim.Engine.Timer.cancel (Sim.Engine.schedule_at engine ~at:!at ignore))
+
 (* fd 1 is ready in epoll [a] (whose application is busy: no waiter) and a
    member of epoll [b], where a waiter is parked on writability fd 1 does
    not have. [notify] re-reads readiness for both and wakes nobody. *)
@@ -169,6 +180,7 @@ let tests =
     Alcotest.test_case "hugepages alloc+free" `Quick hugepages_pair;
     Alcotest.test_case "byte fifo write_string + whole-chunk read" `Quick byte_fifo_pair;
     Alcotest.test_case "cpu exec/charge" `Quick cpu_accounting;
+    Alcotest.test_case "engine schedule+cancel" `Quick engine_schedule_cancel;
     Alcotest.test_case "epoll notify" `Quick epoll_notify;
     Alcotest.test_case "guestlib Ev_data apply" `Quick guestlib_ev_data;
     Alcotest.test_case "coreengine switch" `Quick coreengine_switch;

@@ -144,6 +144,26 @@ let run_script (type h) (api : h sched_api) ~total =
   api.api_run ();
   List.rev !order
 
+let check_same_order ~wheel_order ~heap_order =
+  Alcotest.(check int) "every live event fired" (List.length heap_order)
+    (List.length wheel_order);
+  if not (List.equal Int.equal wheel_order heap_order) then begin
+    let rec first_diff i a b =
+      match (a, b) with
+      | x :: a', y :: b' -> if x <> y then (i, x, y) else first_diff (i + 1) a' b'
+      | _ -> (i, -1, -1)
+    in
+    let i, x, y = first_diff 0 wheel_order heap_order in
+    Alcotest.failf "execution order diverges at position %d: wheel=%d heap=%d" i x y
+  end
+
+let ref_api r =
+  {
+    api_schedule = (fun ~delay f -> Ref_engine.schedule r ~delay f);
+    api_cancel = (fun ev -> ev.Ref_engine.cancelled <- true);
+    api_run = (fun () -> Ref_engine.run r);
+  }
+
 let wheel_matches_heap_oracle () =
   let total = 100_000 in
   let wheel_order =
@@ -156,27 +176,198 @@ let wheel_matches_heap_oracle () =
       }
       ~total
   in
-  let heap_order =
-    let r = Ref_engine.create () in
-    run_script
+  let heap_order = run_script (ref_api (Ref_engine.create ())) ~total in
+  check_same_order ~wheel_order ~heap_order
+
+(* ---- cancelled timers and wheel compaction ------------------------------ *)
+
+(* Engine.compact_floor: the smallest pending count at which the wheel
+   compacts its cancelled entries. *)
+let compact_floor = 1024
+
+(* Cancel-heavy script, the shape TCP retransmission timers give the
+   engine: [flows] flows each run a chain of short-delay activity events,
+   and every activity re-arms its flow's far "RTO" timer (cancel +
+   schedule), except one in 16 that leaves the old timer armed to fire.
+   RTO delays are 0.2-1 s with exact ties across flows, a few land past the
+   wheel's 128 s span, in the overflow heap. Returns the execution order
+   and the share of RTO timers that were cancelled. *)
+let run_rto_script (type h) (api : h sched_api) ~total =
+  let flows = 32 in
+  let order = ref [] in
+  let next_id = ref 0 in
+  let rto : h option array = Array.make flows None in
+  let armed = ref 0 and cancelled = ref 0 in
+  let fresh () =
+    let id = !next_id in
+    incr next_id;
+    id
+  in
+  let activity_delay id =
+    if id land 1 = 0 then float_of_int (id mod 40) *. 1e-6 (* exact ties *)
+    else Nkutil.Rng.float_range (Nkutil.Rng.create ~seed:(0xBEEF + id)) 0.0 50e-6
+  in
+  let rto_delay rid =
+    if rid land 255 = 1 then 200.0 (* past level 2: overflow *)
+    else if rid land 1 = 0 then 0.2 +. (float_of_int (rid mod 64) *. 0.0125)
+    else Nkutil.Rng.float_range (Nkutil.Rng.create ~seed:(0xCAFE + rid)) 0.2 1.0
+  in
+  let rec activity flow =
+    let id = fresh () in
+    ignore
+      (api.api_schedule ~delay:(activity_delay id) (fun () ->
+           order := id :: !order;
+           (match rto.(flow) with
+           | Some h when id land 15 <> 0 ->
+               api.api_cancel h;
+               incr cancelled
+           | _ -> ());
+           let rid = fresh () in
+           rto.(flow) <-
+             Some (api.api_schedule ~delay:(rto_delay rid) (fun () -> order := rid :: !order));
+           incr armed;
+           if !next_id < total then activity flow))
+  in
+  for flow = 0 to flows - 1 do
+    activity flow
+  done;
+  api.api_run ();
+  (List.rev !order, float_of_int !cancelled /. float_of_int !armed)
+
+(* Compaction unlinks cancelled events mid-run; the schedule must not
+   notice. A schedule call that does not raise [pending] is a compaction,
+   and at least one must happen after the first event ran. *)
+let compaction_keeps_heap_order () =
+  let total = 100_000 in
+  let mid_run_compactions = ref 0 in
+  let wheel_order, cancelled_share =
+    let e = E.create () in
+    run_rto_script
       {
-        api_schedule = (fun ~delay f -> Ref_engine.schedule r ~delay f);
-        api_cancel = (fun ev -> ev.Ref_engine.cancelled <- true);
-        api_run = (fun () -> Ref_engine.run r);
+        api_schedule =
+          (fun ~delay f ->
+            let before = E.pending e in
+            let h = E.schedule e ~delay f in
+            if E.pending e <= before && E.events_executed e > 0 then incr mid_run_compactions;
+            h);
+        api_cancel = E.Timer.cancel;
+        api_run = (fun () -> E.run e);
       }
       ~total
   in
-  Alcotest.(check int) "every live event fired" (List.length heap_order)
-    (List.length wheel_order);
-  if not (List.equal Int.equal wheel_order heap_order) then begin
-    let rec first_diff i a b =
-      match (a, b) with
-      | x :: a', y :: b' -> if x <> y then (i, x, y) else first_diff (i + 1) a' b'
-      | _ -> (i, -1, -1)
+  let heap_order, _ = run_rto_script (ref_api (Ref_engine.create ())) ~total in
+  if cancelled_share < 0.9 then
+    Alcotest.failf "script must cancel >= 90%% of far timers, cancelled %.1f%%"
+      (100.0 *. cancelled_share);
+  if !mid_run_compactions = 0 then Alcotest.fail "no compaction ran mid-script";
+  check_same_order ~wheel_order ~heap_order
+
+(* A cancelled timer must not keep its callback's captures alive while its
+   record still waits in a far wheel bucket; a live one must. *)
+let cancel_releases_callback () =
+  let e = E.create () in
+  let arm delay =
+    let block = Bytes.make 64 'x' in
+    let w = Weak.create 1 in
+    Weak.set w 0 (Some block);
+    (E.schedule e ~delay (fun () -> ignore (Sys.opaque_identity block)), w)
+  in
+  let arm = Sys.opaque_identity arm in
+  let gone, gone_w = arm 5.0 in
+  let _live, live_w = arm 5.0 in
+  E.Timer.cancel gone;
+  Gc.full_major ();
+  Alcotest.(check int) "both records still pending" 2 (E.pending e);
+  Alcotest.(check bool) "live timer keeps its capture" true (Weak.check live_w 0);
+  Alcotest.(check bool) "cancelled timer released its capture" false (Weak.check gone_w 0);
+  E.run e;
+  Alcotest.(check int) "only the live timer ran" 1 (E.events_executed e)
+
+(* An RTO-style loop: [k] connections, each re-armed every 640 us (one
+   step every 10 us, round robin), 100K arms in all. One arm in 7 is short
+   enough to fire before its re-arm, and one far arm in 256 is left armed
+   instead of cancelled, so far timers also fire from wheel buckets that
+   compaction has walked. Pending must stay within 2 x live + floor
+   (without compaction it would hold ~100K cancelled timers), and every
+   timer that was not cancelled fires exactly at its deadline. *)
+let rearm_loop_bounded () =
+  let e = E.create () in
+  let k = 64 and arms = 100_000 in
+  let deadline = Array.make arms 0.0 in
+  let killed = Array.make arms false in
+  let fired = Array.make arms false in
+  let current = Array.make k None in
+  let live = ref 0 and max_live = ref 0 and peak = ref 0 in
+  let arm n =
+    let delay =
+      if n mod 7 = 0 then 100e-6 else 0.2 +. (float_of_int ((n * 7919) mod 97) *. 0.008)
     in
-    let i, x, y = first_diff 0 wheel_order heap_order in
-    Alcotest.failf "execution order diverges at position %d: wheel=%d heap=%d" i x y
-  end
+    deadline.(n) <- E.now e +. delay;
+    incr live;
+    E.schedule e ~delay (fun () ->
+        if killed.(n) then Alcotest.failf "cancelled timer %d fired" n;
+        if E.now e <> deadline.(n) then
+          Alcotest.failf "timer %d fired at %.9f, deadline %.9f" n (E.now e) deadline.(n);
+        fired.(n) <- true;
+        decr live)
+  in
+  let rec drive n =
+    if n < arms then begin
+      let c = n mod k in
+      (match current.(c) with
+      | Some (h, m) when (not fired.(m)) && m mod 256 <> 5 ->
+          E.Timer.cancel h;
+          killed.(m) <- true;
+          decr live
+      | _ -> ());
+      current.(c) <- Some (arm n, n);
+      (* + 1: the drive event itself *)
+      max_live := Int.max !max_live (!live + 1);
+      peak := Int.max !peak (E.pending e);
+      ignore (E.schedule e ~delay:10e-6 (fun () -> drive (n + 1)))
+    end
+  in
+  drive 0;
+  E.run e;
+  let bound = (2 * !max_live) + compact_floor in
+  if !peak > bound then
+    Alcotest.failf "pending peaked at %d, bound 2 x %d live + floor = %d" !peak !max_live bound;
+  Array.iteri
+    (fun n f -> if not (f || killed.(n)) then Alcotest.failf "live timer %d never fired" n)
+    fired
+
+(* Compaction runs while the near heap holds one slot's events, some of
+   them cancelled; it must leave that heap to its lazy discard. 64 events
+   at distinct times inside one 119 ns slot, scheduled in a scrambled
+   order (so the heap array is not sorted). The first to run cancels one
+   in four of the others, already in the near heap, then schedules and
+   cancels enough far timers to compact. *)
+let compaction_spares_near_heap () =
+  let e = E.create () in
+  let n = 64 in
+  (* A slot boundary (1024 ticks of 2^-23 s), so every event shares it. *)
+  let base = 1024.0 /. 8388608.0 in
+  let log = ref [] in
+  let handles = Array.make n None in
+  let first () =
+    Array.iteri
+      (fun j h -> if j mod 4 = 1 then Option.iter E.Timer.cancel h)
+      handles;
+    for _ = 1 to 2 * compact_floor do
+      E.Timer.cancel (E.schedule e ~delay:0.5 ignore)
+    done
+  in
+  for i = 0 to n - 1 do
+    let j = i * 37 mod n in
+    let f () =
+      log := j :: !log;
+      if j = 0 then first ()
+    in
+    handles.(j) <- Some (E.schedule_at e ~at:(base +. (float_of_int j *. 1e-10)) f)
+  done;
+  E.run e;
+  let expected = List.filter (fun j -> j mod 4 <> 1) (List.init n Fun.id) in
+  Alcotest.(check (list int)) "live events in (time, seq) order" expected (List.rev !log)
 
 let cpu_fifo_and_accounting () =
   let e = E.create () in
@@ -235,6 +426,11 @@ let tests =
     Alcotest.test_case "run until horizon" `Quick engine_until;
     Alcotest.test_case "nested scheduling" `Quick engine_nested_schedule;
     Alcotest.test_case "wheel vs heap order oracle (100K)" `Quick wheel_matches_heap_oracle;
+    Alcotest.test_case "compaction keeps heap order (cancel-heavy)" `Quick
+      compaction_keeps_heap_order;
+    Alcotest.test_case "cancel releases the callback" `Quick cancel_releases_callback;
+    Alcotest.test_case "re-armed timers keep pending bounded" `Quick rearm_loop_bounded;
+    Alcotest.test_case "compaction spares the near heap" `Quick compaction_spares_near_heap;
     Alcotest.test_case "cpu FIFO + accounting" `Quick cpu_fifo_and_accounting;
     Alcotest.test_case "cpu set pick stable" `Quick cpu_set_pick_stable;
     Alcotest.test_case "pressure decays" `Quick pressure_decays;

@@ -31,7 +31,9 @@ done
 # incast the Homa grant pacer, the TCP->Homa handover pump and the
 # post-switch RPC phase; slo federation order, SLO windows, alert firing
 # and the flight-recorder dumps (the report notes embed a dump digest);
-# fig10 the shared-memory NSM (Nsm_shmem), which no other gated run uses.
+# fig10 the shared-memory NSM (Nsm_shmem), which no other gated run uses;
+# table5 the TCP retransmission timers, whose SYN backoff firings make its
+# tail (the timers the engine cancels, releases and compacts).
 # One snapshot is then diffed against the committed BENCH_<id>.json
 # baseline: the simulated results are deterministic, so drift beyond the
 # default tolerance is a behaviour change that must be acknowledged by
@@ -46,7 +48,8 @@ for spec in \
   "cluster:Nkfabric" \
   "incast:homastack or the handover" \
   "slo:Nkobs" \
-  "fig10:the shared-memory NSM"; do
+  "fig10:the shared-memory NSM" \
+  "table5:the TCP retransmission timers"; do
   id=${spec%%:*} layer=${spec#*:}
   dune exec bin/nk.exe -- bench "$id" -o "$tmp/$id.1"
   dune exec bin/nk.exe -- bench "$id" -o "$tmp/$id.2"
